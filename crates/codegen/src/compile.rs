@@ -150,6 +150,75 @@ pub struct CompiledKernel {
     /// rewrite count of every executed pass, in pipeline order. Empty
     /// pass list at `opt_level = 0`.
     pub opt: hipacc_ir::opt::OptReport,
+    /// Results later layers derived from this artifact (the timing-model
+    /// estimate), kept so a cached artifact computes each only once.
+    pub derived: DerivedMemo,
+}
+
+/// Results later layers derive from an artifact, memoized with it.
+///
+/// The deriving layers sit above this crate, so entries are stored
+/// type-erased and looked up by type; each entry carries the inputs it
+/// was derived from, and a lookup confirms them in full. A clone starts
+/// empty: an artifact's fields are public, so a clone may be edited, and
+/// an edited artifact must not inherit results derived from the original.
+#[derive(Default)]
+pub struct DerivedMemo {
+    entries: std::sync::Mutex<Vec<Box<dyn std::any::Any + Send + Sync>>>,
+}
+
+impl DerivedMemo {
+    /// Entries retained per artifact; later results are computed but not
+    /// kept.
+    pub const CAPACITY: usize = 16;
+
+    fn entries(&self) -> std::sync::MutexGuard<'_, Vec<Box<dyn std::any::Any + Send + Sync>>> {
+        // Every critical section is a single push or a read, so a panic
+        // elsewhere cannot leave the list half-updated.
+        self.entries
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The first entry of type `T` for which `pick` returns `Some`.
+    pub fn find<T: 'static, R>(&self, pick: impl FnMut(&T) -> Option<R>) -> Option<R> {
+        self.entries()
+            .iter()
+            .filter_map(|e| e.downcast_ref::<T>())
+            .find_map(pick)
+    }
+
+    /// Keep `entry`, unless [`Self::CAPACITY`] entries are already kept.
+    pub fn insert<T: Send + Sync + 'static>(&self, entry: T) {
+        let mut entries = self.entries();
+        if entries.len() < Self::CAPACITY {
+            entries.push(Box::new(entry));
+        }
+    }
+
+    /// Number of entries kept.
+    pub fn len(&self) -> usize {
+        self.entries().len()
+    }
+
+    /// True when nothing has been derived yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Clone for DerivedMemo {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl std::fmt::Debug for DerivedMemo {
+    // Constant on purpose: two renderings of one artifact must agree
+    // whether or not anything has been derived from it yet.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("DerivedMemo")
+    }
 }
 
 impl CompiledKernel {
@@ -455,6 +524,7 @@ impl Compiler {
             diagnostics: Vec::new(),
             phase_times: Vec::new(),
             opt: opt_report,
+            derived: DerivedMemo::default(),
         };
 
         // 9. Kernel verification: the four static analyses plus the source

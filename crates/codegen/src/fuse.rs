@@ -399,6 +399,7 @@ impl Compiler {
             diagnostics: Vec::new(),
             phase_times: Vec::new(),
             opt: opt_report,
+            derived: crate::compile::DerivedMemo::default(),
         };
 
         // 8. Full kernel verification, same obligations as any compile.

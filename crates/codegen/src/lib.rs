@@ -44,7 +44,7 @@ pub mod optimize;
 pub mod options;
 pub mod regions;
 
-pub use compile::{verify_compiled, CompileError, CompiledKernel, Compiler};
+pub use compile::{verify_compiled, CompileError, CompiledKernel, Compiler, DerivedMemo};
 pub use fallback::{fallback_chain, FallbackStep};
 pub use optimize::disabled_passes;
 pub use options::{BoundarySpec, CompileSpec, MemVariant};

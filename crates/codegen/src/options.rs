@@ -118,6 +118,58 @@ pub struct CompileSpec {
     pub opt_level: u8,
 }
 
+impl hipacc_ir::key::StructuralKey for BoundarySpec {
+    fn write_key(&self, w: &mut hipacc_ir::key::KeyWriter) {
+        match self.mode {
+            BoundaryMode::Undefined => w.u8(0),
+            BoundaryMode::Repeat => w.u8(1),
+            BoundaryMode::Clamp => w.u8(2),
+            BoundaryMode::Mirror => w.u8(3),
+            BoundaryMode::Constant(c) => w.u8(4).f32(c),
+        };
+        w.u32(self.width).u32(self.height);
+    }
+}
+
+impl hipacc_ir::key::StructuralKey for CompileSpec {
+    fn write_key(&self, w: &mut hipacc_ir::key::KeyWriter) {
+        let CompileSpec {
+            device,
+            backend,
+            width,
+            height,
+            stride,
+            boundaries,
+            param_bindings,
+            variant,
+            use_const_masks,
+            constant_propagation,
+            unroll_limit,
+            force_config,
+            roi,
+            vectorize,
+            generic_boundary,
+            opt_level,
+        } = self;
+        w.put(device)
+            .u8(*backend as u8)
+            .u32(*width)
+            .u32(*height)
+            .u32(*stride)
+            .put(boundaries)
+            .put(param_bindings)
+            .u8(*variant as u8)
+            .bool(*use_const_masks)
+            .bool(*constant_propagation)
+            .u32(*unroll_limit)
+            .put(force_config)
+            .put(roi)
+            .u32(*vectorize)
+            .bool(*generic_boundary)
+            .u8(*opt_level);
+    }
+}
+
 impl CompileSpec {
     /// A specification with the defaults the generated code uses: auto
     /// memory variant, constant-memory masks, no unrolling, heuristic

@@ -8,14 +8,23 @@
 //! launch after the first repeats work whose result is already known.
 //!
 //! [`KernelCache`] memoizes the compiler artifact across launches. The key
-//! is a *fingerprint*: a canonical rendering of the kernel definition plus
-//! every compile-relevant field of the spec (device, backend, image
-//! geometry, boundary handling, bound parameters, memory-path variant,
-//! unrolling, forced configuration, ROI, vectorization). Anything that can
-//! change the emitted code changes the key, so a cache hit is reuse of a
+//! is a *fingerprint*: the structural encoding ([`hipacc_ir::key`]) of the
+//! kernel definition plus every compile-relevant field of the spec
+//! (device, backend, image geometry, boundary handling, bound parameters,
+//! memory-path variant, unrolling, forced configuration, ROI,
+//! vectorization, opt level) and the `HIPACC_OPT_DISABLE` veto. Anything
+//! that can change the emitted code changes the key, and a hit compares
+//! the whole key, not just its hash, so a cache hit is reuse of a
 //! bit-identical artifact by construction — there is no invalidation
 //! protocol to get wrong, only a bounded LRU that drops the
 //! least-recently-used entry when full.
+//!
+//! Artifacts are stored and served as `Arc<CompiledKernel>`: a hit costs
+//! the fingerprint, one map probe and a reference-count bump, never a
+//! copy of the device IR and generated sources. Results derived from an
+//! artifact later, such as [`Operator::estimate`](crate::Operator::estimate),
+//! are memoized on it ([`hipacc_codegen::DerivedMemo`]), so every launch
+//! that shares the `Arc` shares them too.
 //!
 //! The cache is **opt-in**: install one with
 //! [`PipelineOptions::cache`](crate::PipelineOptions) (an `Arc`, so one
@@ -30,10 +39,9 @@
 
 use hipacc_codegen::{CompileSpec, CompiledKernel};
 use hipacc_ir::kernel::KernelDef;
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use hipacc_ir::key::{KeyWriter, LruMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default number of compiled kernels retained (LRU beyond this).
 pub const DEFAULT_CACHE_CAPACITY: usize = 32;
@@ -61,15 +69,35 @@ impl CacheReport {
     }
 }
 
-struct Inner {
-    map: HashMap<String, (u64, CompiledKernel)>,
-    tick: u64,
+/// A cache key from [`KernelCache::fingerprint`]: the structural
+/// encoding of a kernel definition, its compile spec and the
+/// `HIPACC_OPT_DISABLE` veto. Equal keys mean equal inputs, floats
+/// compared bit for bit.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct CacheKey(Box<[u8]>);
+
+impl CacheKey {
+    /// Size of the key in bytes.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True for an empty key (never produced by a fingerprint).
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl std::fmt::Debug for CacheKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "CacheKey({} bytes)", self.len())
+    }
 }
 
 /// A bounded, thread-safe LRU cache of compiler artifacts keyed by kernel
 /// fingerprint. See the module docs for keying and invalidation semantics.
 pub struct KernelCache {
-    inner: Mutex<Inner>,
+    inner: Mutex<LruMap<CacheKey, Arc<CompiledKernel>>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -99,10 +127,7 @@ impl KernelCache {
     /// A cache retaining at most `capacity` compiled kernels (minimum 1).
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                tick: 0,
-            }),
+            inner: Mutex::new(LruMap::new(capacity)),
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -118,12 +143,12 @@ impl KernelCache {
     /// *unrelated* subsequent launch; propagating that panic turns one
     /// failure into a process-wide cascade. The inner state is safe to
     /// adopt as-is: every critical section either completes its
-    /// `HashMap` operation or panics before mutating (`tick += 1` and
+    /// `LruMap` operation or panics before mutating (stamp updates and
     /// map ops are individually atomic with respect to unwinding), and a
     /// worst-case stale LRU stamp or missing entry only costs a
     /// recompile. The recovery is counted and surfaced as a typed
     /// diagnostic ([`Self::poison_diagnostic`]) instead of a panic.
-    fn lock_inner(&self) -> MutexGuard<'_, Inner> {
+    fn lock_inner(&self) -> MutexGuard<'_, LruMap<CacheKey, Arc<CompiledKernel>>> {
         match self.inner.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
@@ -134,81 +159,40 @@ impl KernelCache {
     }
 
     /// Canonical cache key for compiling `def` under `spec`.
-    ///
-    /// The spec's boundary and parameter maps are sorted by name before
-    /// rendering: `HashMap`'s iteration (and hence `Debug`) order is
-    /// unspecified and varies between separately built maps, which would
-    /// otherwise turn identical launches into spurious misses.
-    pub fn fingerprint(def: &KernelDef, spec: &CompileSpec) -> String {
-        let mut bounds: Vec<_> = spec.boundaries.iter().collect();
-        bounds.sort_by(|a, b| a.0.cmp(b.0));
-        let mut params: Vec<_> = spec.param_bindings.iter().collect();
-        params.sort_by(|a, b| a.0.cmp(b.0));
-        let mut key = String::new();
-        let _ = write!(
-            key,
-            "dev={:?}/{:?} geom={}x{}s{} bounds={bounds:?} params={params:?} \
-             variant={:?} cmask={} cprop={} unroll={} force={:?} roi={:?} \
-             vec={} generic={} opt={} disable={:?} def={def:?}",
-            spec.device,
-            spec.backend,
-            spec.width,
-            spec.height,
-            spec.stride,
-            spec.variant,
-            spec.use_const_masks,
-            spec.constant_propagation,
-            spec.unroll_limit,
-            spec.force_config,
-            spec.roi,
-            spec.vectorize,
-            spec.generic_boundary,
-            spec.opt_level,
-            // The env veto changes the emitted kernel without touching the
-            // spec; folding it into the key keeps opt variants from
-            // aliasing (the IR the artifact was built from is implied by
-            // level + veto set, both deterministic).
-            hipacc_codegen::disabled_passes(),
-        );
-        key
+    pub fn fingerprint(def: &KernelDef, spec: &CompileSpec) -> CacheKey {
+        let mut w = KeyWriter::new();
+        w.put(spec).put(def);
+        // The env veto changes the emitted kernel without touching the
+        // spec; folding it into the key keeps opt variants from aliasing
+        // (the IR the artifact was built from is implied by level + veto
+        // set, both deterministic).
+        let disabled = hipacc_codegen::disabled_passes();
+        w.count(disabled.len());
+        for pass in &disabled {
+            w.str(pass);
+        }
+        CacheKey(w.into_bytes().into_boxed_slice())
     }
 
     /// Fetch the artifact for `key`, refreshing its LRU stamp. Counts a
-    /// hit or a miss.
-    pub fn lookup(&self, key: &str) -> Option<CompiledKernel> {
+    /// hit or a miss. The map finds the entry by the key's hash and
+    /// confirms it by comparing the whole key.
+    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CompiledKernel>> {
         let mut inner = self.lock_inner();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.0 = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.1.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let hit = inner.get(key).cloned();
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Store an artifact under `key`, evicting the least-recently-used
     /// entry when the cache is full.
-    pub fn insert(&self, key: String, compiled: CompiledKernel) {
-        let mut inner = self.lock_inner();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            if let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (t, _))| *t)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&oldest);
-            }
-        }
-        inner.map.insert(key, (tick, compiled));
+    pub fn insert(&self, key: CacheKey, compiled: Arc<CompiledKernel>) {
+        self.lock_inner().insert(key, compiled);
     }
 
     /// Record a deliberate bypass (e.g. a degraded supervisor rung).
@@ -233,7 +217,7 @@ impl KernelCache {
 
     /// Number of artifacts currently retained.
     pub fn len(&self) -> usize {
-        self.lock_inner().map.len()
+        self.lock_inner().len()
     }
 
     /// True when no artifact is retained.
@@ -296,11 +280,15 @@ mod tests {
     use hipacc_image::BoundaryMode;
     use hipacc_ir::{Expr, KernelBuilder, ScalarType};
 
-    fn kernel() -> KernelDef {
+    fn scaled(by: f32) -> KernelDef {
         let mut b = KernelBuilder::new("k", ScalarType::F32);
         let input = b.accessor("IN", ScalarType::F32);
-        b.output(b.read(&input, 0, 0) * Expr::float(2.0));
+        b.output(b.read(&input, 0, 0) * Expr::float(by));
         b.finish()
+    }
+
+    fn kernel() -> KernelDef {
+        scaled(2.0)
     }
 
     fn spec() -> CompileSpec {
@@ -330,15 +318,28 @@ mod tests {
     }
 
     #[test]
-    fn hit_returns_identical_artifact() {
+    fn fingerprint_keeps_literal_sign_and_opt_level_apart() {
+        let (neg, pos) = (scaled(-0.0), scaled(0.0));
+        assert_eq!(neg, pos, "`==` cannot tell the zeros apart");
+        assert_ne!(
+            KernelCache::fingerprint(&neg, &spec()),
+            KernelCache::fingerprint(&pos, &spec())
+        );
+        let a = KernelCache::fingerprint(&kernel(), &spec());
+        let b = KernelCache::fingerprint(&kernel(), &spec().with_opt_level(0));
+        assert_ne!(a, b, "opt level must change the key");
+    }
+
+    #[test]
+    fn hit_returns_the_inserted_allocation() {
         let cache = KernelCache::default();
         let (def, sp) = (kernel(), spec());
         let key = KernelCache::fingerprint(&def, &sp);
         assert!(cache.lookup(&key).is_none());
-        let compiled = Compiler::new().compile(&def, &sp).unwrap();
-        cache.insert(key.clone(), compiled.clone());
+        let compiled = Arc::new(Compiler::new().compile(&def, &sp).unwrap());
+        cache.insert(key.clone(), Arc::clone(&compiled));
         let cached = cache.lookup(&key).expect("inserted entry");
-        assert_eq!(format!("{compiled:?}"), format!("{cached:?}"));
+        assert!(Arc::ptr_eq(&compiled, &cached));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
     }
@@ -347,14 +348,16 @@ mod tests {
     fn lru_evicts_oldest() {
         let cache = KernelCache::new(2);
         let (def, sp) = (kernel(), spec());
-        let compiled = Compiler::new().compile(&def, &sp).unwrap();
-        cache.insert("a".into(), compiled.clone());
-        cache.insert("b".into(), compiled.clone());
-        assert!(cache.lookup("a").is_some()); // refresh a; b is now oldest
-        cache.insert("c".into(), compiled);
+        let compiled = Arc::new(Compiler::new().compile(&def, &sp).unwrap());
+        let key = |bx| KernelCache::fingerprint(&def, &spec().with_config(bx, 1));
+        let (a, b, c) = (key(32), key(64), key(128));
+        cache.insert(a.clone(), Arc::clone(&compiled));
+        cache.insert(b.clone(), Arc::clone(&compiled));
+        assert!(cache.lookup(&a).is_some()); // refresh a; b is now oldest
+        cache.insert(c.clone(), compiled);
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup("b").is_none(), "b was least recently used");
-        assert!(cache.lookup("a").is_some());
-        assert!(cache.lookup("c").is_some());
+        assert!(cache.lookup(&b).is_none(), "b was least recently used");
+        assert!(cache.lookup(&a).is_some());
+        assert!(cache.lookup(&c).is_some());
     }
 }

@@ -19,6 +19,7 @@ use hipacc_sim::interp::ExecStats;
 use hipacc_sim::timing::{estimate_time, TimeBreakdown};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Pipeline knobs beyond the kernel itself — the compiler flags of the
 /// paper's evaluation axes.
@@ -157,8 +158,9 @@ pub struct Execution {
     pub stats: ExecStats,
     /// Modelled execution time.
     pub time: TimeBreakdown,
-    /// The compiled artifact (generated sources, config, occupancy, …).
-    pub compiled: CompiledKernel,
+    /// The compiled artifact (generated sources, config, occupancy, …),
+    /// shared with the kernel cache when one served or stored it.
+    pub compiled: Arc<CompiledKernel>,
 }
 
 impl Execution {
@@ -167,6 +169,14 @@ impl Execution {
     pub fn would_crash(&self) -> bool {
         self.stats.oob_reads > 0
     }
+}
+
+/// One memoized [`Operator::estimate`]: the structural key of the inputs
+/// the artifact does not fix (target, params, `launches`, naive-count
+/// flag) and the modelled time.
+struct EstimateMemo {
+    key: Vec<u8>,
+    time: TimeBreakdown,
 }
 
 /// A DSL kernel plus its instance metadata.
@@ -291,14 +301,36 @@ impl Operator {
     }
 
     /// Estimate the execution time of a compiled kernel on a target.
+    ///
+    /// The estimate is a pure function of the artifact and the inputs
+    /// below, so it is memoized on the artifact
+    /// ([`CompiledKernel::derived`]): launches that share a cached
+    /// artifact run the timing model once per (target, params,
+    /// `launches`, naive-count flag), and a repeat returns the stored
+    /// result bit for bit.
     pub fn estimate(&self, compiled: &CompiledKernel, target: &Target) -> TimeBreakdown {
-        estimate_time(&timing_input_opts(
+        let mut w = hipacc_ir::key::KeyWriter::new();
+        w.put(&target.device)
+            .u8(target.backend as u8)
+            .put(&*self.params)
+            .u32(self.options.launches)
+            .bool(self.options.naive_codegen);
+        let key = w.into_bytes();
+        if let Some(time) = compiled
+            .derived
+            .find(|e: &EstimateMemo| (e.key == key).then_some(e.time))
+        {
+            return time;
+        }
+        let time = estimate_time(&timing_input_opts(
             compiled,
             target,
             &self.params,
             self.options.launches,
             self.options.naive_codegen,
-        ))
+        ));
+        compiled.derived.insert(EstimateMemo { key, time });
+        time
     }
 
     /// Compile through the configured [`KernelCache`](crate::KernelCache)
@@ -311,7 +343,7 @@ impl Operator {
         width: u32,
         height: u32,
         rec: Option<&mut hipacc_profile::Recorder>,
-    ) -> Result<(CompiledKernel, Option<crate::cache::CacheReport>), OperatorError> {
+    ) -> Result<(Arc<CompiledKernel>, Option<crate::cache::CacheReport>), OperatorError> {
         let spec = self.compile_spec(target, width, height);
         let fresh = |rec: Option<&mut hipacc_profile::Recorder>| match (&self.options.fused, rec) {
             (Some(chain), Some(r)) => Compiler::new().compile_fused_with_sink(chain, &spec, r),
@@ -320,14 +352,14 @@ impl Operator {
             (None, None) => Compiler::new().compile(&self.def, &spec),
         };
         let Some(cache) = &self.options.cache else {
-            return Ok((fresh(rec)?, None));
+            return Ok((Arc::new(fresh(rec)?), None));
         };
         let key = crate::cache::KernelCache::fingerprint(&self.def, &spec);
         if let Some(hit) = cache.lookup(&key) {
             return Ok((hit, Some(cache.report("hit"))));
         }
-        let compiled = fresh(rec)?;
-        cache.insert(key, compiled.clone());
+        let compiled = Arc::new(fresh(rec)?);
+        cache.insert(key, Arc::clone(&compiled));
         Ok((compiled, Some(cache.report("miss"))))
     }
 

@@ -44,6 +44,7 @@ use hipacc_profile::{now_us, ProfileSink, Recorder, Span};
 use hipacc_sim::inject::{combine_hash, store_hash};
 use hipacc_sim::launch::{repair_blocks, run_on_image_faulted, FaultedLaunch};
 use hipacc_sim::Engine;
+use std::sync::Arc;
 
 /// Retry and fallback policy for [`supervise`].
 #[derive(Clone, Debug)]
@@ -409,17 +410,16 @@ pub fn supervise(
 
     while step_idx < steps.len() {
         let step = steps[step_idx].clone();
-        let mut op_step = op.clone();
-        op_step.options.variant = step.variant;
-        op_step.options.force_config = step.force_config.or(op.options.force_config);
         // The effective compile options of this rung, recorded into the
         // per-rung outcome counters so a circuit breaker can re-create
         // exactly this configuration when it pins the stage.
-        let rung_variant = op_step.options.variant;
-        let rung_force = op_step.options.force_config;
+        let rung_variant = step.variant;
+        let rung_force = step.force_config.or(op.options.force_config);
 
         let mut rec = Recorder::new();
-        let spec_c = op_step.compile_spec(target, width, height);
+        let mut spec_c = op.compile_spec(target, width, height);
+        spec_c.variant = rung_variant;
+        spec_c.force_config = rung_force;
         // Kernel-cache policy: only the pristine `initial` rung may be
         // served from (or populate) the cache. Degraded rungs compile with
         // a different fingerprint anyway (variant / force_config are part
@@ -427,8 +427,8 @@ pub fn supervise(
         // timing must never be skewed by warm-cache effects, and a
         // degraded artifact must never linger for later healthy launches.
         let mut cache_report: Option<crate::cache::CacheReport> = None;
-        let mut cache_key: Option<String> = None;
-        let mut from_cache: Option<CompiledKernel> = None;
+        let mut cache_key: Option<crate::cache::CacheKey> = None;
+        let mut from_cache: Option<Arc<CompiledKernel>> = None;
         if let Some(cache) = op.options.cache.as_deref() {
             if step.label == "initial" {
                 let key = crate::cache::KernelCache::fingerprint(&op.def, &spec_c);
@@ -447,15 +447,16 @@ pub fn supervise(
                 cache_report = Some(cache.report("bypass: degraded-config"));
             }
         }
-        let compiled: CompiledKernel = match from_cache {
+        let compiled: Arc<CompiledKernel> = match from_cache {
             Some(c) => c,
             None => match match &op.options.fused {
                 Some(chain) => Compiler::new().compile_fused_with_sink(chain, &spec_c, &mut rec),
                 None => Compiler::new().compile_with_sink(&op.def, &spec_c, &mut rec),
             } {
                 Ok(c) => {
+                    let c = Arc::new(c);
                     if let (Some(cache), Some(key)) = (op.options.cache.as_deref(), cache_key) {
-                        cache.insert(key, c.clone());
+                        cache.insert(key, Arc::clone(&c));
                     }
                     c
                 }
@@ -762,7 +763,7 @@ fn finish(
     target: &Target,
     engine: Engine,
     plan: &FaultPlan,
-    compiled: CompiledKernel,
+    compiled: Arc<CompiledKernel>,
     run: FaultedLaunch,
     mut rec: Recorder,
     report: RecoveryReport,

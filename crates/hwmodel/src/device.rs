@@ -158,6 +158,81 @@ pub struct DeviceModel {
     pub divergence_cost: f64,
 }
 
+impl hipacc_ir::key::StructuralKey for DeviceModel {
+    fn write_key(&self, w: &mut hipacc_ir::key::KeyWriter) {
+        let DeviceModel {
+            name,
+            vendor,
+            arch,
+            compute_capability,
+            simd_width,
+            num_sms,
+            cores_per_sm,
+            clock_ghz,
+            max_threads_per_block,
+            max_threads_per_sm,
+            max_blocks_per_sm,
+            registers_per_sm,
+            register_granularity,
+            max_registers_per_thread,
+            shared_mem_per_sm,
+            shared_granularity,
+            shared_banks,
+            const_mem_bytes,
+            mem_bandwidth_gbs,
+            mem_latency_cycles,
+            mem_segment_bytes,
+            tex_cache_kib,
+            sfu_cost,
+            div_cost,
+            tex_issue_cost,
+            thread_overhead,
+            launch_overhead_us,
+            bw_efficiency,
+            opencl_penalty,
+            divergence_cost,
+        } = self;
+        w.str(name)
+            .u8(*vendor as u8)
+            .u8(*arch as u8)
+            .put(compute_capability);
+        for v in [
+            simd_width,
+            num_sms,
+            cores_per_sm,
+            max_threads_per_block,
+            max_threads_per_sm,
+            max_blocks_per_sm,
+            registers_per_sm,
+            register_granularity,
+            max_registers_per_thread,
+            shared_mem_per_sm,
+            shared_granularity,
+            shared_banks,
+            const_mem_bytes,
+            mem_segment_bytes,
+            tex_cache_kib,
+        ] {
+            w.u32(*v);
+        }
+        for v in [
+            clock_ghz,
+            mem_bandwidth_gbs,
+            mem_latency_cycles,
+            sfu_cost,
+            div_cost,
+            tex_issue_cost,
+            thread_overhead,
+            launch_overhead_us,
+            bw_efficiency,
+            opencl_penalty,
+            divergence_cost,
+        ] {
+            w.f64(*v);
+        }
+    }
+}
+
 impl DeviceModel {
     /// Maximum resident warps/wavefronts per SIMD unit.
     pub fn max_warps_per_sm(&self) -> u32 {

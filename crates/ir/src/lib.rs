@@ -37,6 +37,7 @@ pub mod expr;
 pub mod fold;
 pub mod fuse;
 pub mod kernel;
+pub mod key;
 pub mod metrics;
 pub mod opt;
 pub mod stmt;

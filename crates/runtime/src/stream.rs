@@ -57,7 +57,8 @@ use hipacc_sim::launch::resolve_engine;
 use hipacc_sim::{SimError, WorkerPool};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Environment variable for the shared pool's worker count, consulted
@@ -399,6 +400,22 @@ struct Budgets {
     workers: usize,
 }
 
+/// Configure every planned stage's operator for one run: the engine,
+/// cache and pool are run constants, so each frame's launch borrows the
+/// operator instead of cloning it.
+fn bind_stages(
+    stages: &mut [Stage],
+    engine: Engine,
+    pool: &Arc<WorkerPool>,
+    cache: Option<&Arc<KernelCache>>,
+) {
+    for stage in stages {
+        stage.op.options.engine = Some(engine);
+        stage.op.options.cache = cache.map(Arc::clone);
+        stage.op.options.pool = Some(Arc::clone(pool));
+    }
+}
+
 /// A frame travelling through the pipeline.
 struct InFlight {
     seq: u64,
@@ -470,6 +487,18 @@ pub struct StreamRun {
     pub report: StreamReport,
 }
 
+/// A fusion plan the planner produced: the stages to run and the
+/// decisions behind them.
+type Plan = (Vec<Stage>, Vec<FusionDecision>);
+
+/// One memoized plan with the inputs it depends on beyond the stage
+/// chain and target, which only change by rebuilding the stream.
+struct PlanEntry {
+    probe: Option<(u32, u32)>,
+    fuse: bool,
+    plan: Plan,
+}
+
 /// An operator chain executing frames in a streaming pipeline.
 pub struct Stream {
     /// Stream name (labels the report and the trace lane).
@@ -480,6 +509,11 @@ pub struct Stream {
     stages: Vec<Stage>,
     cache: Arc<KernelCache>,
     pool: Option<Arc<WorkerPool>>,
+    /// Plans by probe geometry and `config.fuse`; emptied whenever a
+    /// stage is added.
+    plans: Mutex<Vec<PlanEntry>>,
+    /// Pre-flight fused compiles the planner has run.
+    plan_compiles: AtomicU64,
 }
 
 impl Stream {
@@ -492,6 +526,8 @@ impl Stream {
             stages: Vec::new(),
             cache: Arc::new(KernelCache::default()),
             pool: None,
+            plans: Mutex::new(Vec::new()),
+            plan_compiles: AtomicU64::new(0),
         }
     }
 
@@ -513,6 +549,7 @@ impl Stream {
             input: input.into(),
             op,
         });
+        self.plans = Mutex::default();
         self
     }
 
@@ -546,13 +583,42 @@ impl Stream {
         self.stages.iter().map(|s| s.name.clone()).collect()
     }
 
+    /// Pre-flight fused compiles the fusion planner has run: one per
+    /// fusable group and frame geometry, however many runs reuse the
+    /// plan.
+    pub fn plan_compiles(&self) -> u64 {
+        self.plan_compiles.load(Ordering::Relaxed)
+    }
+
+    /// The fusion plan for frames of `probe` geometry, memoized per
+    /// stream: the first run at a geometry plans (and pays the
+    /// pre-flight compile), later runs reuse the plan. The memo is keyed
+    /// by the geometry and `config.fuse`, and emptied when a stage is
+    /// added; the target and the stages cannot change otherwise.
+    fn plan_stages(&self, probe: Option<(u32, u32)>) -> Plan {
+        let fuse = self.config.fuse;
+        // Each critical section either pushes one entry or reads; a panic
+        // elsewhere cannot leave the list half-updated.
+        let memo = || self.plans.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(e) = memo().iter().find(|e| e.probe == probe && e.fuse == fuse) {
+            return e.plan.clone();
+        }
+        let plan = self.plan_fresh(probe);
+        memo().push(PlanEntry {
+            probe,
+            fuse,
+            plan: plan.clone(),
+        });
+        plan
+    }
+
     /// The fusion planner: greedily grow maximal runs of adjacent
     /// fusable stages and replace each run with one fused stage (named
     /// `a+b+...`). A candidate fused kernel is pre-flight compiled at
     /// `probe` geometry; if it overflows device resources the group
     /// falls back per-stage with an `F0105` decision. With `fuse` off
     /// (the default) the chain is returned untouched.
-    fn plan_stages(&self, probe: Option<(u32, u32)>) -> (Vec<Stage>, Vec<FusionDecision>) {
+    fn plan_fresh(&self, probe: Option<(u32, u32)>) -> Plan {
         if !self.config.fuse || self.stages.len() < 2 {
             return (self.stages.clone(), Vec::new());
         }
@@ -608,13 +674,15 @@ impl Stream {
                 // Pre-flight resource probe at the run's frame
                 // geometry: a fused kernel whose merged halo overflows
                 // shared memory on this device falls back per-stage.
-                let overflow =
-                    probe.and_then(|(w, h)| match fused_op.compile(&self.target, w, h) {
+                let overflow = probe.and_then(|(w, h)| {
+                    self.plan_compiles.fetch_add(1, Ordering::Relaxed);
+                    match fused_op.compile(&self.target, w, h) {
                         Err(OperatorError::Compile(e)) if e.is_resource_limit() => {
                             Some(e.to_string())
                         }
                         _ => None,
-                    });
+                    }
+                });
                 match overflow {
                     Some(why) => {
                         decisions.push(FusionDecision {
@@ -705,8 +773,6 @@ impl Stream {
         idx: usize,
         stage: &Stage,
         engine: Engine,
-        pool: Option<&Arc<WorkerPool>>,
-        cache: Option<&Arc<KernelCache>>,
         gov: &Governor,
         budgets: &Budgets,
         col_us: &mut u64,
@@ -820,21 +886,26 @@ impl Stream {
         };
         let effective_deadline = plan.deadline_us;
 
-        let mut op = stage.op.clone();
-        op.options.engine = Some(engine);
-        op.options.cache = cache.map(Arc::clone);
-        op.options.pool = pool.map(Arc::clone);
+        // The planned stage already carries this run's engine, cache and
+        // pool (`bind_stages`); only a pinned rung needs its own copy.
+        let pinned_op;
         let mut sup_cfg = self.config.supervisor.clone();
-        if let Some(pin) = &stage_plan.pinned {
-            // Breaker open: run the proven rung as the *initial* (and
-            // only) configuration. The retry/degradation ladder is
-            // bypassed, and the pinned rung is now cache-served — it
-            // recompiles exactly once.
-            op.options.variant = pin.variant;
-            op.options.force_config = pin.force_config;
-            sup_cfg.max_attempts = 1;
-            sup_cfg.fallback = false;
-        }
+        let op = match &stage_plan.pinned {
+            Some(pin) => {
+                // Breaker open: run the proven rung as the *initial* (and
+                // only) configuration. The retry/degradation ladder is
+                // bypassed, and the pinned rung is now cache-served — it
+                // recompiles exactly once.
+                let mut op = stage.op.clone();
+                op.options.variant = pin.variant;
+                op.options.force_config = pin.force_config;
+                sup_cfg.max_attempts = 1;
+                sup_cfg.fallback = false;
+                pinned_op = op;
+                &pinned_op
+            }
+            None => &stage.op,
+        };
 
         // Panic isolation: an injected (or real) worker panic unwinds
         // through the launch into this shield; the frame becomes a
@@ -999,7 +1070,7 @@ impl Stream {
         let engine = resolve_engine(self.config.engine)?;
         assert!(!self.stages.is_empty(), "stream has no stages");
         let probe = frames.first().map(|f| (f.width(), f.height()));
-        let (stages, fusion) = self.plan_stages(probe);
+        let (mut stages, fusion) = self.plan_stages(probe);
         let n_stages = stages.len();
         let cap = self.config.resolve_queue_capacity()?;
         let workers = self.config.resolve_workers()?;
@@ -1023,6 +1094,7 @@ impl Stream {
             .clone()
             .unwrap_or_else(|| Arc::new(WorkerPool::new(workers)));
         let cache = self.config.share_cache.then(|| Arc::clone(&self.cache));
+        bind_stages(&mut stages, engine, &pool, cache.as_ref());
         let frames_in = frames.len();
         let (hits0, misses0) = (self.cache.hits(), self.cache.misses());
 
@@ -1055,7 +1127,7 @@ impl Stream {
                 shed
             });
             for (idx, stage) in stages.iter().enumerate() {
-                let (pool, cache, gov, budgets) = (&pool, &cache, &gov, &budgets);
+                let (gov, budgets) = (&gov, &budgets);
                 scope.spawn(move || {
                     // The stage's column of the stream-clock rectangle
                     // sum; owned by this thread, advanced in seq order.
@@ -1066,8 +1138,6 @@ impl Stream {
                                 idx,
                                 stage,
                                 engine,
-                                Some(pool),
-                                cache.as_ref(),
                                 gov,
                                 budgets,
                                 &mut col_us,
@@ -1118,7 +1188,7 @@ impl Stream {
         let engine = resolve_engine(self.config.engine)?;
         assert!(!self.stages.is_empty(), "stream has no stages");
         let probe = frames.first().map(|f| (f.width(), f.height()));
-        let (stages, fusion) = self.plan_stages(probe);
+        let (mut stages, fusion) = self.plan_stages(probe);
         let n_stages = stages.len();
         let workers = self.config.resolve_workers()?;
         let pool = self
@@ -1140,6 +1210,7 @@ impl Stream {
             self.config.close_after,
         );
         let cache = self.config.share_cache.then(|| Arc::clone(&self.cache));
+        bind_stages(&mut stages, engine, &pool, cache.as_ref());
         let frames_in = frames.len();
         let (hits0, misses0) = (self.cache.hits(), self.cache.misses());
 
@@ -1156,8 +1227,6 @@ impl Stream {
                     idx,
                     stage,
                     engine,
-                    Some(&pool),
-                    cache.as_ref(),
                     &gov,
                     &budgets,
                     &mut cols[idx],

@@ -181,19 +181,18 @@ pub(crate) struct StoreRec {
     pub(crate) value: f32,
 }
 
-/// A kernel lowered to register-machine tapes for one launch configuration.
+/// A kernel lowered to register-machine tapes for one launch geometry:
+/// the launch-independent half of a [`CompiledKernel`].
 ///
-/// Produced by [`compile`]; run with [`CompiledKernel::run`] (or use
-/// [`execute`] for the one-shot compile-and-run path). The program bakes in
-/// the launch's grid/block dimensions and scalar arguments, so it is only
-/// valid for the `LaunchParams` it was compiled against.
-pub struct CompiledKernel {
+/// Built by [`compile`] and shared by the launch memo of
+/// [`crate::launch`]. The program bakes in the launch's
+/// grid/block dimensions, scalar arguments, bound buffer geometries and
+/// address modes, and constant-bank contents, so it is only valid for
+/// launches that agree on all of those. It holds nothing else of the
+/// launch, which is what lets launches share it.
+pub struct Program {
     pub(crate) grid: (u32, u32),
     pub(crate) block: (u32, u32),
-    /// Worker-count override captured from the launch parameters.
-    pub(crate) sim_threads: Option<usize>,
-    /// Shared worker pool captured from the launch parameters.
-    pub(crate) pool: Option<std::sync::Arc<crate::pool::WorkerPool>>,
     /// Per-block prologue evaluating block-uniform subexpressions.
     pub(crate) prologue: Vec<Inst>,
     pub(crate) n_uregs: usize,
@@ -220,7 +219,29 @@ pub enum ExecMode {
     Simd,
 }
 
-impl CompiledKernel {
+/// A [`Program`] bound to one launch: the worker-count override and the
+/// worker pool that run its blocks. Dereferences to the program.
+///
+/// Produced by [`compile`] (or bound over a program shared across
+/// launches); run with [`CompiledKernel::run`] (or use [`execute`] for the
+/// one-shot compile-and-run path).
+pub struct CompiledKernel {
+    program: std::sync::Arc<Program>,
+    /// Worker-count override captured from the launch parameters.
+    sim_threads: Option<usize>,
+    /// Shared worker pool captured from the launch parameters.
+    pool: Option<std::sync::Arc<crate::pool::WorkerPool>>,
+}
+
+impl std::ops::Deref for CompiledKernel {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        &self.program
+    }
+}
+
+impl Program {
     /// Number of barrier-delimited phases.
     pub fn phase_count(&self) -> usize {
         self.phases.len()
@@ -367,7 +388,8 @@ fn assigned_names(body: &[Stmt]) -> HashSet<String> {
     set
 }
 
-/// Compile a device kernel for one launch configuration.
+/// Compile a device kernel for one launch configuration and bind it to
+/// that launch.
 ///
 /// Performs the interpreter's up-front validation (missing scalars, unbound
 /// buffers) plus compile-time versions of its runtime errors (undefined
@@ -377,6 +399,19 @@ pub fn compile(
     params: &LaunchParams,
     mem: &DeviceMemory,
 ) -> Result<CompiledKernel, SimError> {
+    Ok(CompiledKernel::bind(
+        std::sync::Arc::new(compile_program(kernel, params, mem)?),
+        params,
+    ))
+}
+
+/// Compile a device kernel to the launch-independent [`Program`] (see
+/// [`compile`]).
+pub(crate) fn compile_program(
+    kernel: &DeviceKernelDef,
+    params: &LaunchParams,
+    mem: &DeviceMemory,
+) -> Result<Program, SimError> {
     for p in &kernel.scalars {
         if !params.scalars.contains_key(&p.name) {
             return Err(SimError::MissingScalar(p.name.clone()));
@@ -433,11 +468,9 @@ pub fn compile(
 
     let checks = analyze_interior(&body, params, &c);
 
-    Ok(CompiledKernel {
+    Ok(Program {
         grid: params.grid,
         block: params.block,
-        sim_threads: params.sim_threads,
-        pool: params.pool.clone(),
         prologue: std::mem::take(&mut c.prologue),
         n_uregs: c.next_ureg as usize,
         phases: tapes,
@@ -1904,7 +1937,7 @@ pub(crate) struct BlockScratch {
 
 impl BlockScratch {
     /// Size and zero the shared tiles for one block.
-    pub(crate) fn reset_tiles(&mut self, prog: &CompiledKernel) {
+    pub(crate) fn reset_tiles(&mut self, prog: &Program) {
         self.shared.resize(prog.shared.len(), Vec::new());
         for (tile, l) in self.shared.iter_mut().zip(&prog.shared) {
             tile.clear();
@@ -1914,14 +1947,14 @@ impl BlockScratch {
 }
 
 /// Cross-launch pool of per-worker scratch, keyed by
-/// [`CompiledKernel::scratch_key`] so reuse only happens between
+/// [`Program::scratch_key`] so reuse only happens between
 /// launches whose register files and tiles have identical shapes.
 static SCRATCH_POOL: crate::sched::ScratchPool<BlockScratch> = crate::sched::ScratchPool::new(32);
 
 /// Mutable per-block machine state, borrowing its allocations from the
 /// worker's [`BlockScratch`].
 pub(crate) struct BlockRun<'r> {
-    pub(crate) prog: &'r CompiledKernel,
+    pub(crate) prog: &'r Program,
     pub(crate) bufs: &'r [BufView<'r>],
     pub(crate) shared: &'r mut Vec<Vec<f32>>,
     pub(crate) stores: &'r mut Vec<StoreRec>,
@@ -2124,7 +2157,7 @@ impl BlockRun<'_> {
 /// tape contains no memory operations and no thread builtins, so it
 /// touches neither the journal nor the statistics.
 pub(crate) fn exec_prologue(
-    prog: &CompiledKernel,
+    prog: &Program,
     bufs: &[BufView<'_>],
     bx: u32,
     by: u32,
@@ -2157,7 +2190,7 @@ pub(crate) fn exec_prologue(
 /// classification, then all threads phase by phase. Stores land in
 /// `journal`; the returned range is this block's slice of it.
 pub(crate) fn run_block(
-    prog: &CompiledKernel,
+    prog: &Program,
     bufs: &[BufView<'_>],
     bx: u32,
     by: u32,
@@ -2236,7 +2269,7 @@ pub(crate) fn run_block(
 /// is always decided by the scalar engine.
 #[allow(clippy::too_many_arguments)]
 fn run_block_dispatch(
-    prog: &CompiledKernel,
+    prog: &Program,
     bufs: &[BufView<'_>],
     bx: u32,
     by: u32,
@@ -2254,6 +2287,22 @@ fn run_block_dispatch(
 }
 
 impl CompiledKernel {
+    /// Bind a (possibly shared) program to the launch `params` describe.
+    /// The program must have been compiled for a launch that agrees with
+    /// `params` on everything [`Program`] bakes in.
+    pub(crate) fn bind(program: std::sync::Arc<Program>, params: &LaunchParams) -> Self {
+        Self {
+            program,
+            sim_threads: params.sim_threads,
+            pool: params.pool.clone(),
+        }
+    }
+
+    /// The launch-independent program this launch runs.
+    pub(crate) fn program(&self) -> &std::sync::Arc<Program> {
+        &self.program
+    }
+
     /// Execute the compiled program over the whole grid. Blocks run in
     /// parallel across host cores; buffered stores are applied in
     /// deterministic block order afterwards, exactly like the tree-walk

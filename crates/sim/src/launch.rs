@@ -12,15 +12,29 @@
 //! [`crate::bytecode`]); [`Engine::TreeWalk`] keeps the original
 //! tree-walking interpreter available as the reference implementation.
 //! Both produce bit-identical outputs and statistics.
+//!
+//! The tape is memoized across launches. A bytecode [`Program`] depends
+//! only on the kernel, the grid and block, the folded scalars, the bound
+//! buffers' geometry and address modes, and the constant-bank contents;
+//! the memo keys on exactly those, encoded structurally
+//! ([`hipacc_ir::key`]), and a hit needs the whole key to match, not just
+//! its hash. The worker count and pool are bound per launch, outside
+//! the program, so a steady stream of equal-geometry frames
+//! builds its tape once. A frame-size change, an ROI that rebinds the
+//! `is_*` scalars, or a new mask upload changes the key and builds a new
+//! tape. A launch whose fault hook is enabled never uses the memo: its
+//! hook may corrupt constant banks before the tape captures them.
 
+use crate::bytecode::{CompiledKernel, Program};
 use crate::interp::{ExecStats, SimError};
 use crate::memory::{BufferGeometry, DeviceBuffer, DeviceMemory, LaunchParams};
 use crate::observer::ObserverReport;
 use hipacc_image::Image;
-use hipacc_ir::kernel::{BufferAccess, DeviceKernelDef};
+use hipacc_ir::kernel::{AddressMode, BufferAccess, DeviceKernelDef};
+use hipacc_ir::key::{KeyWriter, LruMap};
 use hipacc_ir::ty::Const;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Everything a launch needs besides the kernel itself.
 ///
@@ -216,9 +230,9 @@ pub fn override_conflicts(
 /// [`LaunchSpec::engine`] if set, else `HIPACC_SIM_ENGINE`, else
 /// [`Engine::Bytecode`].
 ///
-/// The first input image defines the output geometry. Buffers named in the
-/// kernel but missing from `inputs`/`mask_data` produce
-/// [`SimError::UnboundBuffer`].
+/// The first bound input in the kernel's buffer declaration order defines
+/// the output geometry. Buffers named in the kernel but missing from
+/// `inputs`/`mask_data` produce [`SimError::UnboundBuffer`].
 pub fn run_on_image(
     kernel: &DeviceKernelDef,
     spec: &LaunchSpec<'_>,
@@ -234,7 +248,7 @@ pub fn run_on_image_with(
 ) -> Result<LaunchResult, SimError> {
     let (mut mem, params) = prepare(kernel, spec)?;
     let stats = match engine.exec_mode() {
-        Some(mode) => crate::bytecode::compile(kernel, &params, &mem)?.run_with(&mut mem, mode)?,
+        Some(mode) => memoized_tape(kernel, &params, &mem)?.run_with(&mut mem, mode)?,
         None => crate::interp::execute(kernel, &params, &mut mem)?,
     };
     let output = download_output(&mem)?;
@@ -268,9 +282,7 @@ pub fn run_on_image_profiled(
 ) -> Result<(LaunchResult, crate::sched::ExecProfile), SimError> {
     let (mut mem, params) = prepare(kernel, spec)?;
     let (stats, profile) = match engine.exec_mode() {
-        Some(mode) => {
-            crate::bytecode::compile(kernel, &params, &mem)?.run_profiled_with(&mut mem, mode)?
-        }
+        Some(mode) => memoized_tape(kernel, &params, &mem)?.run_profiled_with(&mut mem, mode)?,
         None => crate::interp::execute_profiled(kernel, &params, &mut mem)?,
     };
     let output = download_output(&mem)?;
@@ -316,8 +328,9 @@ pub fn run_on_image_faulted(
         // is byte-for-byte and cost-for-cost identical to an unfaulted
         // one, and report an empty (trivially clean) ledger.
         let (stats, exec) = match engine.exec_mode() {
-            Some(mode) => crate::bytecode::compile(kernel, &params, &mem)?
-                .run_profiled_with(&mut mem, mode)?,
+            Some(mode) => {
+                memoized_tape(kernel, &params, &mem)?.run_profiled_with(&mut mem, mode)?
+            }
             None => crate::interp::execute_profiled(kernel, &params, &mut mem)?,
         };
         let output = download_output(&mem)?;
@@ -330,7 +343,8 @@ pub fn run_on_image_faulted(
         });
     }
     // The bytecode engine captures constant banks at compile time, so
-    // memory corruption must land before either engine compiles.
+    // memory corruption must land before either engine compiles, and the
+    // tape is built fresh from the corrupted banks, never memoized.
     hook.corrupt_memory(&mut mem);
     let (stats, exec, run) = match engine.exec_mode() {
         Some(mode) => crate::bytecode::compile(kernel, &params, &mem)?
@@ -385,11 +399,95 @@ pub fn repair_blocks(
 ) -> Result<(Vec<crate::inject::RepairStore>, ExecStats), SimError> {
     let (mem, params) = prepare(kernel, spec)?;
     match engine.exec_mode() {
-        Some(mode) => {
-            crate::bytecode::compile(kernel, &params, &mem)?.run_blocks_with(&mem, blocks, mode)
-        }
+        Some(mode) => memoized_tape(kernel, &params, &mem)?.run_blocks_with(&mem, blocks, mode),
         None => crate::interp::execute_blocks(kernel, &params, &mem, blocks),
     }
+}
+
+/// Programs the tape memo retains (least recently used beyond this).
+const TAPE_MEMO_CAPACITY: usize = 64;
+
+/// Programs by the structural key of everything they bake in.
+type TapeMemo = LruMap<Box<[u8]>, Arc<Program>>;
+
+/// The cross-launch tape memo (see the module docs).
+static TAPE_MEMO: OnceLock<Mutex<TapeMemo>> = OnceLock::new();
+
+fn tape_memo() -> MutexGuard<'static, TapeMemo> {
+    // Every critical section is one map operation, so a panic elsewhere
+    // leaves the memo usable; the worst case is a stale stamp, which only
+    // changes which entry is evicted next.
+    TAPE_MEMO
+        .get_or_init(|| Mutex::new(LruMap::new(TAPE_MEMO_CAPACITY)))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Everything a bytecode [`Program`] depends on, encoded structurally.
+fn tape_key(kernel: &DeviceKernelDef, params: &LaunchParams, mem: &DeviceMemory) -> Box<[u8]> {
+    let mut w = KeyWriter::new();
+    w.put(&params.grid)
+        .put(&params.block)
+        .put(&params.scalars)
+        .put(kernel);
+    for buf in &kernel.buffers {
+        match mem.buffer(&buf.name) {
+            Some(b) => w
+                .u8(1)
+                .u32(b.geom.width)
+                .u32(b.geom.height)
+                .u32(b.geom.stride),
+            None => w.u8(0),
+        };
+        w.put(
+            &mem.tex_modes
+                .get(&buf.name)
+                .copied()
+                .unwrap_or(AddressMode::None),
+        );
+    }
+    for cb in kernel.const_buffers.iter().filter(|cb| cb.data.is_none()) {
+        match mem.dynamic_const.get(&cb.name) {
+            Some(bank) => w.u8(1).put(bank.as_slice()),
+            None => w.u8(0),
+        };
+    }
+    w.into_bytes().into_boxed_slice()
+}
+
+/// The bytecode tape for this launch: the memoized program when an equal
+/// launch built one, else a fresh compile that is then memoized; bound to
+/// this launch's worker count and pool either way.
+fn memoized_tape(
+    kernel: &DeviceKernelDef,
+    params: &LaunchParams,
+    mem: &DeviceMemory,
+) -> Result<CompiledKernel, SimError> {
+    let key = tape_key(kernel, params, mem);
+    let hit = tape_memo().get(&key).cloned();
+    let program = match hit {
+        Some(program) => program,
+        None => {
+            // Built outside the lock: a concurrent launch of another
+            // kernel must not wait for this compile.
+            let program = Arc::new(crate::bytecode::compile_program(kernel, params, mem)?);
+            tape_memo().insert(key, Arc::clone(&program));
+            program
+        }
+    };
+    Ok(CompiledKernel::bind(program, params))
+}
+
+/// The bytecode program a launch of `kernel` under `spec` runs, taken
+/// from (or added to) the cross-launch tape memo. Two launches share a
+/// program — [`Arc::ptr_eq`] — exactly when the memo served the second
+/// from the first.
+pub fn memoized_program(
+    kernel: &DeviceKernelDef,
+    spec: &LaunchSpec<'_>,
+) -> Result<Arc<Program>, SimError> {
+    let (mem, params) = prepare(kernel, spec)?;
+    Ok(Arc::clone(memoized_tape(kernel, &params, &mem)?.program()))
 }
 
 fn download_output(mem: &DeviceMemory) -> Result<Image<f32>, SimError> {
@@ -433,10 +531,20 @@ fn prepare(
     spec: &LaunchSpec<'_>,
 ) -> Result<(DeviceMemory, LaunchParams), SimError> {
     validate_spec(spec)?;
-    let reference = spec
-        .inputs
-        .values()
-        .next()
+    // The first bound input in the kernel's buffer declaration order
+    // defines the launch geometry; inputs the kernel does not declare
+    // only count when none is declared, then by name. Either way the
+    // choice never follows `HashMap` iteration order.
+    let reference = kernel
+        .buffers
+        .iter()
+        .find_map(|b| spec.inputs.get(&b.name))
+        .or_else(|| {
+            spec.inputs
+                .iter()
+                .min_by_key(|(name, _)| *name)
+                .map(|(_, img)| img)
+        })
         .ok_or_else(|| SimError::UnboundBuffer("no input images".into()))?;
     let geom = BufferGeometry {
         width: reference.width(),
@@ -610,6 +718,45 @@ mod tests {
         }
         assert_eq!(res.stats.oob_reads, 0);
         assert_eq!(res.stats.global_stores, 100 * 37);
+    }
+
+    #[test]
+    fn the_first_declared_input_sets_the_launch_geometry() {
+        // `B` is declared after `A` and is larger; the output must take
+        // `A`'s geometry however the inputs map happens to iterate.
+        let mut k = add_one_kernel();
+        k.buffers[0].name = "A".into();
+        let mut b = k.buffers[0].clone();
+        b.name = "B".into();
+        k.buffers.insert(1, b);
+        k.body = Stmt::rewrite_exprs(k.body, &mut |e| match e {
+            Expr::GlobalLoad { buf, idx } if buf == "IN" => Expr::GlobalLoad {
+                buf: "A".into(),
+                idx,
+            },
+            other => other,
+        });
+        let a = Image::from_fn(8, 6, |x, y| (x + 10 * y) as f32);
+        let b = Image::from_fn(24, 20, |_, _| -1.0);
+        for _ in 0..16 {
+            // Each map gets a fresh random seed, so its iteration order
+            // varies from one pass to the next.
+            let inputs: HashMap<String, &Image<f32>> =
+                [("B".to_string(), &b), ("A".to_string(), &a)]
+                    .into_iter()
+                    .collect();
+            let spec = LaunchSpec {
+                grid: (1, 6),
+                block: (8, 1),
+                inputs,
+                ..Default::default()
+            };
+            for engine in [Engine::TreeWalk, Engine::Bytecode] {
+                let res = run_on_image_with(&k, &spec, engine).unwrap();
+                assert_eq!((res.output.width(), res.output.height()), (8, 6));
+                assert_eq!(res.output.get(7, 5), 58.0);
+            }
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod sched;
 pub mod simd;
 pub mod timing;
 
-pub use bytecode::{compile, execute as execute_bytecode, CompiledKernel, ExecMode};
+pub use bytecode::{compile, execute as execute_bytecode, CompiledKernel, ExecMode, Program};
 pub use inject::{BlockFault, BlockLedger, FaultHook, FaultedRun, RepairStore};
 pub use interp::{execute, execute_observed, execute_profiled, ExecStats, SimError};
 pub use launch::{

@@ -46,7 +46,7 @@
 //! against the tree-walk and scalar bytecode engines for bit-identical
 //! outputs, `ExecStats`, and fault-injection behaviour.
 
-use crate::bytecode::{exec_prologue, BlockScratch, BufView, CompiledKernel, Inst, Reg, StoreRec};
+use crate::bytecode::{exec_prologue, BlockScratch, BufView, Inst, Program, Reg, StoreRec};
 use crate::interp::{ExecStats, SimError};
 use crate::sched::SimdTelemetry;
 use hipacc_image::boundary::{clamp_index, repeat_index};
@@ -130,7 +130,7 @@ impl SimdScratch {
 /// shipped kernels pass either way; a hand-built tape that loads and
 /// stores one tile in the same phase falls back to the scalar engine for
 /// every block.
-pub(crate) fn plan_supported(prog: &CompiledKernel) -> bool {
+pub(crate) fn plan_supported(prog: &Program) -> bool {
     prog.phases.iter().all(|tape| {
         let n = prog.shared.len();
         let mut loaded = vec![false; n];
@@ -154,7 +154,7 @@ pub(crate) fn plan_supported(prog: &CompiledKernel) -> bool {
 /// error the journal is rolled back to `start` and the caller must re-run
 /// the block on the scalar engine (which reproduces the exact error).
 pub(crate) fn run_block_simd(
-    prog: &CompiledKernel,
+    prog: &Program,
     bufs: &[BufView<'_>],
     bx: u32,
     by: u32,
@@ -184,7 +184,7 @@ pub(crate) fn run_block_simd(
 }
 
 fn run_block_inner(
-    prog: &CompiledKernel,
+    prog: &Program,
     bufs: &[BufView<'_>],
     bx: u32,
     by: u32,
@@ -409,7 +409,7 @@ fn bail() -> SimError {
 
 /// One warp's execution state for one phase tape.
 struct WarpExec<'a, 'm> {
-    prog: &'a CompiledKernel,
+    prog: &'a Program,
     bufs: &'a [BufView<'m>],
     uregs: &'a [Const],
     shared: &'a mut Vec<Vec<f32>>,

@@ -52,13 +52,14 @@ fn cached_and_fresh_compiles_produce_byte_identical_tapes() {
 
     // `phase_times` carries wall-clock timings, which legitimately differ
     // between compiles; everything else must match bit for bit.
-    let strip = |mut c: hipacc_codegen::CompiledKernel| {
+    let strip = |c: &hipacc_codegen::CompiledKernel| {
+        let mut c = c.clone();
         c.phase_times.clear();
         format!("{c:?}")
     };
-    let fresh_tape = strip(fresh.compiled);
-    assert_eq!(fresh_tape, strip(miss.compiled.clone()));
-    assert_eq!(fresh_tape, strip(hit.compiled.clone()));
+    let fresh_tape = strip(&fresh.compiled);
+    assert_eq!(fresh_tape, strip(&miss.compiled));
+    assert_eq!(fresh_tape, strip(&hit.compiled));
     assert_eq!(
         format!("{:?}", miss.compiled),
         format!("{:?}", hit.compiled),
@@ -453,4 +454,203 @@ fn engine_option_selects_the_simd_engine() {
     let simd = op.execute(&[("Input", &img)], &target).unwrap();
     assert_eq!(reference.output.max_abs_diff(&simd.output), 0.0);
     assert_eq!(reference.stats, simd.stats);
+}
+
+// ---------------------------------------------------------------------
+// Memos behind a cache hit: the shared artifact, its estimate, the tape.
+// ---------------------------------------------------------------------
+
+/// Every hit serves the allocation the miss inserted: the artifact is
+/// shared, never copied, and so is the estimate memoized on it.
+#[test]
+fn cache_hits_share_one_allocation() {
+    let img = test_image();
+    let target = Target::cuda(device::tesla_c2050());
+    let cache = Arc::new(KernelCache::default());
+    let op = cached_op(&cache);
+    let miss = op.execute(&[("Input", &img)], &target).unwrap();
+    let hit = op.execute(&[("Input", &img)], &target).unwrap();
+    let again = op.execute(&[("Input", &img)], &target).unwrap();
+    assert!(Arc::ptr_eq(&miss.compiled, &hit.compiled));
+    assert!(Arc::ptr_eq(&hit.compiled, &again.compiled));
+
+    let key = KernelCache::fingerprint(&op.def, &op.compile_spec(&target, 96, 80));
+    let a = cache.lookup(&key).expect("inserted by the miss");
+    let b = cache.lookup(&key).expect("inserted by the miss");
+    assert!(Arc::ptr_eq(&a, &b));
+    assert!(Arc::ptr_eq(&a, &miss.compiled));
+    assert_eq!(
+        miss.compiled.derived.len(),
+        1,
+        "three launches, one timing-model run"
+    );
+    assert_eq!(hit.time, miss.time);
+}
+
+/// A memoized estimate is the fresh timing-model result bit for bit, for
+/// every target, `launches` value and op-count model, whether the memo
+/// is filling (first pass) or serving (second pass).
+#[test]
+fn memoized_estimate_equals_a_fresh_timing_model_run() {
+    let base = gaussian_operator(5, 1.1, BoundaryMode::Clamp);
+    let compiled = base
+        .compile(&Target::cuda(device::tesla_c2050()), 96, 80)
+        .unwrap();
+    let targets = [
+        Target::cuda(device::tesla_c2050()),
+        Target::cuda(device::quadro_fx_5800()),
+        Target::opencl(device::radeon_hd_5870()),
+        Target::opencl(device::tesla_c2050()),
+    ];
+    let bits = |t: hipacc_sim::TimeBreakdown| {
+        [
+            t.compute_ms,
+            t.memory_ms,
+            t.staging_ms,
+            t.launch_ms,
+            t.utilization,
+            t.total_ms,
+        ]
+        .map(f64::to_bits)
+    };
+    for pass in ["filling", "serving"] {
+        for target in &targets {
+            for launches in [1, 3] {
+                for naive in [false, true] {
+                    let mut op = base.clone();
+                    op.options.launches = launches;
+                    op.options.naive_codegen = naive;
+                    let fresh =
+                        hipacc_sim::estimate_time(&hipacc_core::pipeline::timing_input_opts(
+                            &compiled, target, &op.params, launches, naive,
+                        ));
+                    assert_eq!(
+                        bits(op.estimate(&compiled, target)),
+                        bits(fresh),
+                        "{pass}: {} launches={launches} naive={naive}",
+                        target.label()
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(compiled.derived.len(), targets.len() * 4);
+}
+
+/// A 3x1 convolution whose coefficients are uploaded at launch: a new
+/// upload changes a constant bank without changing the kernel.
+fn dyn_mask_operator(coeffs: Vec<f32>) -> hipacc_core::Operator {
+    let mut b = KernelBuilder::new("dynconv", ScalarType::F32);
+    let input = b.accessor("Input", ScalarType::F32);
+    let m = b.mask_dynamic("M", 3, 1);
+    let acc = b.let_("acc", ScalarType::F32, Expr::float(0.0));
+    b.for_inclusive("xf", Expr::int(-1), Expr::int(1), |b, xf| {
+        b.add_assign(
+            &acc,
+            b.mask_at(&m, xf.get(), Expr::int(0)) * b.read_at(&input, xf.get(), Expr::int(0)),
+        );
+    });
+    b.output(acc.get());
+    hipacc_core::Operator::new(b.finish())
+        .boundary("Input", BoundaryMode::Clamp, 3, 1)
+        .upload_mask("M", coeffs)
+}
+
+/// The bytecode tape memo serves equal launches one shared program and
+/// builds a new one when anything the tape bakes in changes: an ROI that
+/// rebinds the launch-time `is_*` scalars, a frame-size change, or a new
+/// mask upload. Each rebuilt tape runs bit- and stat-identical to the
+/// tree-walk reference on the same launch.
+#[test]
+fn tape_memo_is_reused_at_equal_geometry_and_rebuilt_when_the_launch_changes() {
+    use hipacc_core::pipeline::launch_spec;
+    use hipacc_sim::launch::{memoized_program, run_on_image_with};
+
+    let target = Target::cuda(device::tesla_c2050());
+    // A geometry no other test in this file launches.
+    let img = phantom::vessel_tree(57, 43, &phantom::VesselParams::default());
+    let same_geometry = phantom::gradient(57, 43);
+    let wider = phantom::vessel_tree(80, 43, &phantom::VesselParams::default());
+    let op = dyn_mask_operator(vec![0.25, 0.5, 0.25]);
+    let new_upload = dyn_mask_operator(vec![0.0, 1.0, 0.0]).mask_uploads;
+    let compiled = op.compile(&target, 57, 43).unwrap();
+    let kernel = &compiled.device_kernel;
+    let spec = |img, masks| launch_spec(&compiled, &[("Input", img)], &op.params, masks);
+
+    let base = spec(&img, &op.mask_uploads);
+    let program = memoized_program(kernel, &base).unwrap();
+    assert!(
+        Arc::ptr_eq(&program, &memoized_program(kernel, &base).unwrap()),
+        "an equal launch must reuse the tape"
+    );
+    assert!(
+        Arc::ptr_eq(
+            &program,
+            &memoized_program(kernel, &spec(&same_geometry, &op.mask_uploads)).unwrap()
+        ),
+        "pixel values are not part of the tape"
+    );
+
+    let mut roi = base.clone();
+    roi.scalars
+        .insert("is_width".into(), hipacc_ir::Const::Int(31));
+    roi.scalars
+        .insert("is_height".into(), hipacc_ir::Const::Int(20));
+    let variants = [
+        ("roi shrink", roi),
+        ("frame size", spec(&wider, &op.mask_uploads)),
+        ("mask upload", spec(&img, &new_upload)),
+    ];
+    for (what, launch) in &variants {
+        let rebuilt = memoized_program(kernel, launch).unwrap();
+        assert!(
+            !Arc::ptr_eq(&program, &rebuilt),
+            "{what}: stale tape served"
+        );
+        let reference = run_on_image_with(kernel, launch, Engine::TreeWalk).unwrap();
+        for engine in [Engine::Bytecode, Engine::Simd] {
+            let run = run_on_image_with(kernel, launch, engine).unwrap();
+            assert_eq!(
+                reference.output.max_abs_diff(&run.output),
+                0.0,
+                "{what}/{engine:?}"
+            );
+            assert_eq!(reference.stats, run.stats, "{what}/{engine:?}");
+        }
+    }
+}
+
+/// All three engines stay bit- and stat-identical, with the same
+/// modelled time, whether the artifact cache, the estimate memo and the
+/// tape memo are cold or warm.
+#[test]
+fn engines_stay_identical_with_memos_cold_and_warm() {
+    let target = Target::cuda(device::tesla_c2050());
+    // A geometry no other test in this file launches, so the first
+    // bytecode launch finds the tape memo cold.
+    let img = phantom::vessel_tree(61, 47, &phantom::VesselParams::default());
+    let reference = gaussian_operator(5, 1.1, BoundaryMode::Clamp)
+        .execute_with(&[("Input", &img)], &target, Engine::TreeWalk)
+        .unwrap();
+    let cache = Arc::new(KernelCache::default());
+    for engine in [Engine::TreeWalk, Engine::Bytecode, Engine::Simd] {
+        for round in ["cold", "warm", "warm again"] {
+            let run = cached_op(&cache)
+                .execute_with(&[("Input", &img)], &target, engine)
+                .unwrap();
+            assert_eq!(
+                reference.output.max_abs_diff(&run.output),
+                0.0,
+                "{engine:?} {round}"
+            );
+            assert_eq!(reference.stats, run.stats, "{engine:?} {round}");
+            assert_eq!(
+                reference.time.total_ms.to_bits(),
+                run.time.total_ms.to_bits(),
+                "{engine:?} {round}"
+            );
+        }
+    }
+    assert_eq!(cache.misses(), 1);
+    assert_eq!(cache.hits(), 8);
 }

@@ -475,3 +475,60 @@ fn supervised_profile_records_plan_and_recovery_spans() {
     assert_eq!(n, sup.profile.spans.len());
     assert!(sup.profile.render_text().contains("injected: fault-plan"));
 }
+
+/// The cross-launch tape memo never hides a corrupted constant bank.
+/// After warm launches have memoized the dynamic-mask tape, a transient
+/// plan that flips constant bits is still caught by the post-launch
+/// scrub and cured by a retry, a permanent one still surfaces the typed
+/// `R0401`, and an inert plan stays bit-identical to the warm launch.
+#[test]
+fn warm_tape_memo_still_catches_constant_bank_corruption() {
+    let img = test_image();
+    let cfg = SupervisorConfig::default();
+    let target = Target::cuda(device::tesla_c2050());
+    let op = dyn_mask_operator();
+    let ins = [("Input", &img)];
+    for engine in [Engine::Bytecode, Engine::Simd] {
+        let warm = op.execute_with(&ins, &target, engine).unwrap();
+        let again = op.execute_with(&ins, &target, engine).unwrap();
+        assert_eq!(warm.output.max_abs_diff(&again.output), 0.0);
+        assert_eq!(warm.stats, again.stats);
+
+        let transient = op
+            .execute_supervised(
+                &ins,
+                &target,
+                engine,
+                &FaultPlan::corrupt_constants(13, 2),
+                &cfg,
+            )
+            .unwrap_or_else(|e| panic!("{engine:?}: a retry must cure a transient flip: {e}"));
+        assert!(
+            transient.recovery.action_total(RecoveryAction::Retried) >= 1,
+            "{engine:?}: the corruption must be caught, not served from the memo\n{}",
+            transient.recovery.render_text()
+        );
+        assert!(transient
+            .recovery
+            .events
+            .iter()
+            .any(|e| e.detail.contains("constant banks corrupted")));
+        assert_eq!(warm.output.max_abs_diff(&transient.execution.output), 0.0);
+
+        let permanent = FaultPlan {
+            faulty_attempts: u32::MAX,
+            ..FaultPlan::corrupt_constants(13, 2)
+        };
+        let err = op
+            .execute_supervised(&ins, &target, engine, &permanent, &cfg)
+            .expect_err("corrupt constants must never validate");
+        assert_eq!(err.error.diagnostic().code, "R0401", "{engine:?}");
+
+        let inert = op
+            .execute_supervised(&ins, &target, engine, &FaultPlan::none(), &cfg)
+            .unwrap();
+        assert_eq!(warm.output.max_abs_diff(&inert.execution.output), 0.0);
+        assert_eq!(warm.stats, inert.execution.stats, "{engine:?}");
+        assert!(!inert.recovery.recovered());
+    }
+}

@@ -194,8 +194,9 @@ fn resource_overflow_falls_back_per_stage_with_f0105() {
             })
     };
     let frames = frame_sequence(1, 16, 16);
-    let fused = build("overflow", true).run(frames.clone()).unwrap();
-    let plain = build("plain", false).run(frames).unwrap();
+    let overflow = build("overflow", true);
+    let fused = overflow.run(frames.clone()).unwrap();
+    let plain = build("plain", false).run(frames.clone()).unwrap();
 
     assert_eq!(
         fused.report.stages,
@@ -211,6 +212,14 @@ fn resource_overflow_falls_back_per_stage_with_f0105() {
     assert!(!d.fused);
     assert_eq!(fused.report.frames_out, 1);
     assert_outputs_identical(&fused, &plain, "resource fallback");
+
+    // The memoized plan falls back on every later call too, without
+    // repeating the pre-flight compile.
+    let again = overflow.run(frames).unwrap();
+    assert_eq!(again.report.stages, fused.report.stages);
+    assert_eq!(again.report.fusion, fused.report.fusion);
+    assert_outputs_identical(&again, &plain, "memoized resource fallback");
+    assert_eq!(overflow.plan_compiles(), 1);
 }
 
 /// Fault injection on a fused chain: a hang recovered by a deadline
@@ -339,6 +348,74 @@ fn fused_kernel_is_served_from_the_cache() {
     );
     assert_eq!(run.report.cache_hits, 7, "steady-state frames hit");
     assert!(run.report.cache_hit_rate > 0.8);
+}
+
+/// The fusion plan is memoized per stream and frame geometry: a second
+/// fused run at the same geometry compiles nothing (no pre-flight compile,
+/// no cache miss) and records the same decisions; a new geometry plans
+/// once more.
+#[test]
+fn second_fused_run_at_the_same_geometry_compiles_nothing() {
+    let config = StreamConfig {
+        workers: Some(2),
+        engine: Some(Engine::Bytecode),
+        ..StreamConfig::default()
+    };
+    let stream = three_stage_stream("replanned", true, config);
+    let first = stream.run(frame_sequence(4, 16, 16)).unwrap();
+    assert_eq!(stream.plan_compiles(), 1);
+    assert_eq!(first.report.cache_misses, 1);
+
+    let second = stream.run(frame_sequence(4, 16, 16)).unwrap();
+    let sequential = stream.run_sequential(frame_sequence(4, 16, 16)).unwrap();
+    assert_eq!(stream.plan_compiles(), 1, "the plan is reused");
+    assert_eq!(second.report.cache_misses, 0, "the fused kernel is warm");
+    assert_eq!(second.report.cache_hits, 4);
+    assert_eq!(second.report.fusion, first.report.fusion);
+    assert_eq!(sequential.report.fusion, first.report.fusion);
+    assert_outputs_identical(&first, &second, "memoized plan");
+    assert_outputs_identical(&first, &sequential, "memoized plan, sequential");
+
+    stream.run(frame_sequence(2, 24, 16)).unwrap();
+    assert_eq!(stream.plan_compiles(), 2, "a new geometry plans again");
+}
+
+/// A stream rebuilt with another stage, or with fusion switched off, is
+/// planned afresh instead of reusing the memoized plan.
+#[test]
+fn rebuilt_streams_are_replanned() {
+    let m = BoundaryMode::Clamp;
+    let config = StreamConfig {
+        fuse: true,
+        workers: Some(2),
+        engine: Some(Engine::Bytecode),
+        ..StreamConfig::default()
+    };
+    let frames = || frame_sequence(2, 16, 16);
+    let stream = Stream::new("growing", Target::cuda(device::tesla_c2050()))
+        .stage("gauss5", gaussian_operator(5, 1.1, m))
+        .stage("sobel", sobel_operator(true, m))
+        .with_config(config.clone());
+    assert_eq!(
+        stream.run(frames()).unwrap().report.stages,
+        vec!["gauss5+sobel"]
+    );
+
+    let mut stream = stream.stage("laplace", laplacian_operator(m));
+    let grown = stream.run(frames()).unwrap();
+    assert_eq!(grown.report.stages, vec!["gauss5+sobel+laplace"]);
+    assert_eq!(stream.plan_compiles(), 2);
+
+    stream.config.fuse = false;
+    let plain = stream.run(frames()).unwrap();
+    assert_eq!(plain.report.stages, vec!["gauss5", "sobel", "laplace"]);
+    assert!(plain.report.fusion.is_empty());
+    assert_outputs_identical(&grown, &plain, "replanned without fusion");
+
+    let stream = stream.with_config(config);
+    let fused_again = stream.run(frames()).unwrap();
+    assert_eq!(fused_again.report.stages, vec!["gauss5+sobel+laplace"]);
+    assert_eq!(stream.plan_compiles(), 2, "the fused plan was kept");
 }
 
 /// Property-style sweep: random-ish drifting geometries and modes stay
