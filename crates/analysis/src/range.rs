@@ -5,7 +5,7 @@
 //! [`RangeState`] carries the same abstract store the bounds walker
 //! uses — variable intervals, the eight launch builtins, and an
 //! override list refining arbitrary expressions by structural equality —
-//! over the shared lattice [`Ival`](crate::interval::Ival). The
+//! over the shared lattice [`Ival`]. The
 //! difference is the client: the verifier only *reports* with its
 //! facts, so imprecision is at worst a spurious diagnostic; the
 //! optimizer *rewrites* with them, so every answer must model the

@@ -2,7 +2,7 @@
 //!
 //! Runs the `ir::opt` pass pipeline over the lowered device kernel,
 //! feeding each pass a fresh value-range oracle
-//! ([`RangeState`](hipacc_analysis::range::RangeState)) seeded with the
+//! ([`RangeState`]) seeded with the
 //! launch geometry and the compile-time scalar bindings — the same facts
 //! the verifier's bounds pass uses, which is what makes the rewrites
 //! safe: anything the optimizer elides, the re-run verifier could have

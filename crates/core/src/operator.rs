@@ -8,15 +8,20 @@
 //! for the target, run on the simulated device, estimate the execution
 //! time with the analytical model.
 
+use crate::cache::CacheReport;
 use crate::pipeline::{launch_spec, timing_input_opts};
+use crate::profile::LaunchProfile;
 use crate::target::Target;
 use hipacc_codegen::compile::CompileError;
 use hipacc_codegen::{BoundarySpec, CompileSpec, CompiledKernel, Compiler, MemVariant};
 use hipacc_image::{BoundaryMode, Image};
 use hipacc_ir::ty::Const;
 use hipacc_ir::KernelDef;
+use hipacc_profile::{now_us, ProfileSink, Recorder, Span};
 use hipacc_sim::interp::ExecStats;
+use hipacc_sim::launch::{run_in_mode, LaunchSpec};
 use hipacc_sim::timing::{estimate_time, TimeBreakdown};
+use hipacc_sim::{ExecProfile, FaultedRun, LaunchMode};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -293,11 +298,23 @@ impl Operator {
         width: u32,
         height: u32,
     ) -> Result<CompiledKernel, OperatorError> {
-        let spec = self.compile_spec(target, width, height);
-        Ok(match &self.options.fused {
-            Some(chain) => Compiler::new().compile_fused(chain, &spec)?,
-            None => Compiler::new().compile(&self.def, &spec)?,
-        })
+        Ok(self.compile_fresh(&self.compile_spec(target, width, height), None)?)
+    }
+
+    /// Compile `spec` without the cache: the fused chain when this
+    /// operator is one, else [`Self::def`], recording phase spans into
+    /// `rec` when given.
+    fn compile_fresh(
+        &self,
+        spec: &CompileSpec,
+        rec: Option<&mut Recorder>,
+    ) -> Result<CompiledKernel, CompileError> {
+        match (&self.options.fused, rec) {
+            (Some(chain), Some(r)) => Compiler::new().compile_fused_with_sink(chain, spec, r),
+            (Some(chain), None) => Compiler::new().compile_fused(chain, spec),
+            (None, Some(r)) => Compiler::new().compile_with_sink(&self.def, spec, r),
+            (None, None) => Compiler::new().compile(&self.def, spec),
+        }
     }
 
     /// Estimate the execution time of a compiled kernel on a target.
@@ -333,34 +350,90 @@ impl Operator {
         time
     }
 
-    /// Compile through the configured [`KernelCache`](crate::KernelCache)
-    /// when one is installed, otherwise compile fresh (recording phase
-    /// spans into `rec` when given). Returns the artifact and, when a
-    /// cache was consulted, a report of what it did.
-    fn compile_maybe_cached(
+    /// Compile `spec` through the configured
+    /// [`KernelCache`](crate::KernelCache) when one is installed, otherwise
+    /// compile fresh, recording phase spans into `rec` when given. With a
+    /// `bypass` reason the cache is neither read nor written, only told
+    /// (the supervisor's degraded rungs). Returns the artifact and, when a
+    /// cache was installed, a report of what it did.
+    pub(crate) fn compile_cached(
         &self,
-        target: &Target,
-        width: u32,
-        height: u32,
-        rec: Option<&mut hipacc_profile::Recorder>,
-    ) -> Result<(Arc<CompiledKernel>, Option<crate::cache::CacheReport>), OperatorError> {
-        let spec = self.compile_spec(target, width, height);
-        let fresh = |rec: Option<&mut hipacc_profile::Recorder>| match (&self.options.fused, rec) {
-            (Some(chain), Some(r)) => Compiler::new().compile_fused_with_sink(chain, &spec, r),
-            (Some(chain), None) => Compiler::new().compile_fused(chain, &spec),
-            (None, Some(r)) => Compiler::new().compile_with_sink(&self.def, &spec, r),
-            (None, None) => Compiler::new().compile(&self.def, &spec),
-        };
+        spec: &CompileSpec,
+        rec: Option<&mut Recorder>,
+        bypass: Option<&str>,
+    ) -> Result<(Arc<CompiledKernel>, Option<CacheReport>), CompileError> {
         let Some(cache) = &self.options.cache else {
-            return Ok((Arc::new(fresh(rec)?), None));
+            return Ok((Arc::new(self.compile_fresh(spec, rec)?), None));
         };
-        let key = crate::cache::KernelCache::fingerprint(&self.def, &spec);
+        if let Some(reason) = bypass {
+            cache.note_bypass();
+            let report = cache.report(reason);
+            return Ok((Arc::new(self.compile_fresh(spec, rec)?), Some(report)));
+        }
+        let key = crate::cache::KernelCache::fingerprint(&self.def, spec);
         if let Some(hit) = cache.lookup(&key) {
             return Ok((hit, Some(cache.report("hit"))));
         }
-        let compiled = Arc::new(fresh(rec)?);
+        let report = cache.report("miss");
+        let compiled = Arc::new(self.compile_fresh(spec, rec)?);
         cache.insert(key, Arc::clone(&compiled));
-        Ok((compiled, Some(cache.report("miss"))))
+        Ok((compiled, Some(report)))
+    }
+
+    /// Compile for the first input's geometry through
+    /// [`Self::compile_cached`].
+    fn compile_for(
+        &self,
+        inputs: &[(&str, &Image<f32>)],
+        target: &Target,
+        rec: Option<&mut Recorder>,
+    ) -> Result<(Arc<CompiledKernel>, Option<CacheReport>), OperatorError> {
+        let (_, first) = inputs.first().ok_or(OperatorError::NoInputs)?;
+        let spec = self.compile_spec(target, first.width(), first.height());
+        Ok(self.compile_cached(&spec, rec, None)?)
+    }
+
+    /// The simulator launch spec for `compiled` over `inputs`, carrying
+    /// this operator's worker count and pool.
+    pub(crate) fn sim_spec<'a>(
+        &self,
+        compiled: &CompiledKernel,
+        inputs: &[(&str, &'a Image<f32>)],
+    ) -> LaunchSpec<'a> {
+        let mut spec = launch_spec(compiled, inputs, &self.params, &self.mask_uploads);
+        spec.sim_threads = self.options.sim_threads;
+        spec.pool = self.options.pool.clone();
+        spec
+    }
+
+    /// Launch `compiled` over `inputs` in `mode` and estimate its time:
+    /// the launch half that every execute path, supervised or not,
+    /// shares.
+    pub(crate) fn launch(
+        &self,
+        compiled: Arc<CompiledKernel>,
+        inputs: &[(&str, &Image<f32>)],
+        target: &Target,
+        engine: hipacc_sim::Engine,
+        mode: LaunchMode<'_>,
+    ) -> Result<Launched, hipacc_sim::SimError> {
+        let spec = self.sim_spec(&compiled, inputs);
+        let start = now_us();
+        let run = run_in_mode(&compiled.device_kernel, &spec, engine, mode)?;
+        let end = now_us();
+        let time = self.estimate(&compiled, target);
+        Ok(Launched {
+            execution: Execution {
+                output: run.output,
+                stats: run.stats,
+                time,
+                compiled,
+            },
+            exec: run.profile,
+            faults: run.faults.unwrap_or_default(),
+            corrupt_const_banks: run.corrupt_const_banks,
+            wall_us: (start, end),
+        })
     }
 
     /// Full pipeline: compile, execute on the simulated device, estimate
@@ -388,20 +461,9 @@ impl Operator {
         target: &Target,
         engine: hipacc_sim::Engine,
     ) -> Result<Execution, OperatorError> {
-        let (_, first) = inputs.first().ok_or(OperatorError::NoInputs)?;
-        let (compiled, _) =
-            self.compile_maybe_cached(target, first.width(), first.height(), None)?;
-        let mut spec = launch_spec(&compiled, inputs, &self.params, &self.mask_uploads);
-        spec.sim_threads = self.options.sim_threads;
-        spec.pool = self.options.pool.clone();
-        let run = hipacc_sim::launch::run_on_image_with(&compiled.device_kernel, &spec, engine)?;
-        let time = self.estimate(&compiled, target);
-        Ok(Execution {
-            output: run.output,
-            stats: run.stats,
-            time,
-            compiled,
-        })
+        let (compiled, _) = self.compile_for(inputs, target, None)?;
+        let launched = self.launch(compiled, inputs, target, engine, LaunchMode::Plain)?;
+        Ok(launched.execution)
     }
 
     /// [`Self::execute`] with full observability: compile phases and
@@ -412,95 +474,105 @@ impl Operator {
     /// Execution semantics — output image, statistics, modelled time —
     /// are identical to [`Self::execute`]; only the instrumentation
     /// differs.
-    ///
-    /// [`LaunchProfile`]: crate::profile::LaunchProfile
     pub fn execute_profiled(
         &self,
         inputs: &[(&str, &Image<f32>)],
         target: &Target,
         engine: hipacc_sim::Engine,
-    ) -> Result<(Execution, crate::profile::LaunchProfile), OperatorError> {
-        use hipacc_profile::{now_us, ProfileSink, Recorder, Span};
-
-        let (_, first) = inputs.first().ok_or(OperatorError::NoInputs)?;
+    ) -> Result<(Execution, LaunchProfile), OperatorError> {
         let mut rec = Recorder::new();
-        let (compiled, cache_report) =
-            self.compile_maybe_cached(target, first.width(), first.height(), Some(&mut rec))?;
-        let mut spec = launch_spec(&compiled, inputs, &self.params, &self.mask_uploads);
-        spec.sim_threads = self.options.sim_threads;
-        spec.pool = self.options.pool.clone();
+        let (compiled, cache) = self.compile_for(inputs, target, Some(&mut rec))?;
+        let launched = self.launch(compiled, inputs, target, engine, LaunchMode::Profile)?;
+        Ok(launched.into_profiled(self, target, engine, rec, cache, None))
+    }
+}
 
+/// One launch of a compiled operator ([`Operator::launch`]): the
+/// execution, what its launch mode recorded, and when it ran.
+pub(crate) struct Launched {
+    pub(crate) execution: Execution,
+    /// Per-block profile (profiled and fault-injected launches).
+    pub(crate) exec: Option<ExecProfile>,
+    /// Fault-plane ledger (empty outside fault injection).
+    pub(crate) faults: FaultedRun,
+    /// Constant banks the post-launch scrub found corrupted.
+    pub(crate) corrupt_const_banks: Vec<String>,
+    /// Wall-clock start and end of the simulated launch, in µs on the
+    /// shared profiling timeline.
+    pub(crate) wall_us: (u64, u64),
+}
+
+impl Launched {
+    /// Split a profiled launch into its execution and its
+    /// [`LaunchProfile`]: the compile spans in `rec`, the override
+    /// conflicts and the launch's measured wall time as spans, the
+    /// per-region counters, and the model view. On a cache hit the
+    /// compile phases never ran this launch, so the profile shows no
+    /// compile time even though the cached artifact still carries its
+    /// original `phase_times`.
+    pub(crate) fn into_profiled(
+        self,
+        op: &Operator,
+        target: &Target,
+        engine: hipacc_sim::Engine,
+        mut rec: Recorder,
+        cache: Option<CacheReport>,
+        fault_plan: Option<String>,
+    ) -> (Execution, LaunchProfile) {
+        let exec = self.exec.expect("a profiled launch records an ExecProfile");
+        let compiled = &self.execution.compiled;
+        let (start, end) = self.wall_us;
         // Explicit overrides always beat the environment; when both are
         // set and disagree, say so in the profile instead of letting a
         // stale shell variable silently lose.
         let conflicts: Vec<String> =
-            hipacc_sim::override_conflicts(Some(engine), self.options.sim_threads)
+            hipacc_sim::override_conflicts(Some(engine), op.options.sim_threads)
                 .into_iter()
                 .map(|c| c.to_string())
                 .collect();
         for c in &conflicts {
             rec.record(
-                hipacc_profile::Span::new("override-conflict", "diagnostic", now_us(), 0)
-                    .arg("detail", c.clone()),
+                Span::new("override-conflict", "diagnostic", start, 0).arg("detail", c.clone()),
             );
         }
-
-        let engine_label = engine.label();
-        let start = now_us();
-        let (run, exec) =
-            hipacc_sim::launch::run_on_image_profiled(&compiled.device_kernel, &spec, engine)?;
-        let end = now_us();
         rec.record(
             Span::new("execute", "launch", start, end.saturating_sub(start))
-                .arg("engine", engine_label)
+                .arg("engine", engine.label())
                 .arg("workers", exec.n_workers.to_string())
                 .arg("blocks", exec.blocks.len().to_string()),
         );
-
-        let time = self.estimate(&compiled, target);
-        let regions = crate::profile::LaunchProfile::attribute_regions(&exec, |bx, by| {
+        let regions = LaunchProfile::attribute_regions(&exec, |bx, by| {
             compiled
                 .region_grid
                 .as_ref()
                 .map(|g| g.region_of(bx, by))
                 .unwrap_or(hipacc_codegen::Region::Interior)
         });
-        // On a cache hit the compile phases never ran this launch: the
-        // profile must show zero compile time, even though the cached
-        // artifact still carries its original `phase_times`.
-        let phase_times = if cache_report.as_ref().is_some_and(|c| c.is_hit()) {
+        let phase_times = if cache.as_ref().is_some_and(|c| c.is_hit()) {
             Vec::new()
         } else {
             compiled.phase_times.clone()
         };
-        let profile = crate::profile::LaunchProfile {
-            kernel: self.def.name.clone(),
+        let profile = LaunchProfile {
+            kernel: op.def.name.clone(),
             target: target.label(),
-            engine: engine_label,
+            engine: engine.label(),
             grid: compiled.grid,
             block: (compiled.config.bx, compiled.config.by),
             n_workers: exec.n_workers,
             regions,
-            totals: run.stats,
+            totals: self.execution.stats,
             blocks_per_worker: exec.blocks_per_worker(),
-            time,
+            time: self.execution.time,
             occupancy: compiled.occupancy,
             phase_times,
             spans: rec.into_spans(),
-            fault_plan: None,
-            cache: cache_report,
+            fault_plan,
+            cache,
             warp_occupancy: exec.simd.and_then(|t| t.mean_active_fraction()),
             override_conflicts: conflicts,
         };
-        Ok((
-            Execution {
-                output: run.output,
-                stats: run.stats,
-                time,
-                compiled,
-            },
-            profile,
-        ))
+        (self.execution, profile)
     }
 }
 

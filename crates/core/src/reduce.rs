@@ -223,7 +223,8 @@ pub fn reduce_image(
         .set_int("width", img.width() as i64)
         .set_int("height", img.height() as i64)
         .set_int("stride", img.stride() as i64);
-    let stats = hipacc_sim::execute(&kernel, &params, &mut mem)?;
+    let stats =
+        hipacc_sim::execute(&kernel, &params, &mut mem, hipacc_sim::LaunchMode::Plain)?.stats;
 
     let out = &mem.buffer("OUT").unwrap().data;
     let mut acc = op.identity() as f64;

@@ -13,7 +13,7 @@
 //! * **dropped, bit-flipped, or poisoned block results** — the engines
 //!   keep per-block checksums of computed vs. committed stores; blocks
 //!   whose checksums diverge are **selectively re-executed** on clean
-//!   memory ([`repair_blocks`]) and patched into the output, and the
+//!   memory ([`LaunchMode::Repair`]) and patched into the output, and the
 //!   repair itself is validated against the original checksums;
 //! * **corrupted constant banks** — the post-launch scrub compares the
 //!   uploaded coefficients bit-for-bit; a dirty bank invalidates the
@@ -31,19 +31,18 @@
 //! [`Operator::execute`] on the same engine.
 //!
 //! [`SimError::DeadlineExceeded`]: hipacc_sim::SimError::DeadlineExceeded
-//! [`repair_blocks`]: hipacc_sim::launch::repair_blocks
+//! [`LaunchMode::Repair`]: hipacc_sim::LaunchMode::Repair
 
-use crate::operator::{Execution, Operator, OperatorError};
-use crate::pipeline::launch_spec;
+use crate::operator::{Execution, Launched, Operator, OperatorError};
 use crate::profile::LaunchProfile;
 use crate::target::Target;
-use hipacc_codegen::{fallback_chain, CompiledKernel, Compiler, MemVariant};
+use hipacc_codegen::{fallback_chain, MemVariant};
 use hipacc_faults::{FaultPlan, FaultSession};
 use hipacc_image::Image;
-use hipacc_profile::{now_us, ProfileSink, Recorder, Span};
+use hipacc_profile::{Recorder, Span};
 use hipacc_sim::inject::{combine_hash, store_hash};
-use hipacc_sim::launch::{repair_blocks, run_on_image_faulted, FaultedLaunch};
-use hipacc_sim::Engine;
+use hipacc_sim::launch::run_in_mode;
+use hipacc_sim::{Engine, LaunchMode};
 use std::sync::Arc;
 
 /// Retry and fallback policy for [`supervise`].
@@ -426,85 +425,49 @@ pub fn supervise(
         // of the key), but they bypass the cache entirely — recovery
         // timing must never be skewed by warm-cache effects, and a
         // degraded artifact must never linger for later healthy launches.
-        let mut cache_report: Option<crate::cache::CacheReport> = None;
-        let mut cache_key: Option<crate::cache::CacheKey> = None;
-        let mut from_cache: Option<Arc<CompiledKernel>> = None;
-        if let Some(cache) = op.options.cache.as_deref() {
-            if step.label == "initial" {
-                let key = crate::cache::KernelCache::fingerprint(&op.def, &spec_c);
-                match cache.lookup(&key) {
-                    Some(hit) => {
-                        cache_report = Some(cache.report("hit"));
-                        from_cache = Some(hit);
+        let bypass = (step.label != "initial").then_some("bypass: degraded-config");
+        let (compiled, cache_report) = match op.compile_cached(&spec_c, Some(&mut rec), bypass) {
+            Ok(c) => c,
+            Err(e) => {
+                let resource = e.is_resource_limit();
+                let err = OperatorError::Compile(e);
+                if resource && cfg.fallback {
+                    if !ladder_built {
+                        // No tile hint from a failed compile: degrade
+                        // the memory variant only.
+                        steps.extend(ladder_steps(op.options.variant, None));
+                        ladder_built = true;
                     }
-                    None => {
-                        cache_report = Some(cache.report("miss"));
-                        cache_key = Some(key);
+                    if step_idx + 1 < steps.len() {
+                        note_rung(
+                            &mut report,
+                            &step.label,
+                            rung_variant,
+                            rung_force,
+                            RecoveryAction::Degraded,
+                        );
+                        report.events.push(RecoveryEvent {
+                            step: step.label.clone(),
+                            attempt: 0,
+                            action: RecoveryAction::Degraded,
+                            detail: format!(
+                                "{} -> trying {}",
+                                err.diagnostic(),
+                                steps[step_idx + 1].label
+                            ),
+                            virtual_us: 0,
+                        });
+                        step_idx += 1;
+                        continue;
                     }
                 }
-            } else {
-                cache.note_bypass();
-                cache_report = Some(cache.report("bypass: degraded-config"));
+                return fail(err, report, &step.label, 0, rung_variant, rung_force);
             }
-        }
-        let compiled: Arc<CompiledKernel> = match from_cache {
-            Some(c) => c,
-            None => match match &op.options.fused {
-                Some(chain) => Compiler::new().compile_fused_with_sink(chain, &spec_c, &mut rec),
-                None => Compiler::new().compile_with_sink(&op.def, &spec_c, &mut rec),
-            } {
-                Ok(c) => {
-                    let c = Arc::new(c);
-                    if let (Some(cache), Some(key)) = (op.options.cache.as_deref(), cache_key) {
-                        cache.insert(key, Arc::clone(&c));
-                    }
-                    c
-                }
-                Err(e) => {
-                    let resource = e.is_resource_limit();
-                    let err = OperatorError::Compile(e);
-                    if resource && cfg.fallback {
-                        if !ladder_built {
-                            // No tile hint from a failed compile: degrade
-                            // the memory variant only.
-                            steps.extend(ladder_steps(op.options.variant, None));
-                            ladder_built = true;
-                        }
-                        if step_idx + 1 < steps.len() {
-                            note_rung(
-                                &mut report,
-                                &step.label,
-                                rung_variant,
-                                rung_force,
-                                RecoveryAction::Degraded,
-                            );
-                            report.events.push(RecoveryEvent {
-                                step: step.label.clone(),
-                                attempt: 0,
-                                action: RecoveryAction::Degraded,
-                                detail: format!(
-                                    "{} -> trying {}",
-                                    err.diagnostic(),
-                                    steps[step_idx + 1].label
-                                ),
-                                virtual_us: 0,
-                            });
-                            step_idx += 1;
-                            continue;
-                        }
-                    }
-                    return fail(err, report, &step.label, 0, rung_variant, rung_force);
-                }
-            },
         };
         if !ladder_built {
             steps.extend(ladder_steps(op.options.variant, Some(compiled.config)));
             ladder_built = true;
         }
-
-        let mut spec = launch_spec(&compiled, inputs, &op.params, &op.mask_uploads);
-        spec.sim_threads = op.options.sim_threads;
-        spec.pool = op.options.pool.clone();
 
         let mut attempt = 0;
         while attempt < cfg.max_attempts.max(1) {
@@ -530,7 +493,8 @@ pub fn supervise(
                 });
             };
 
-            match run_on_image_faulted(&compiled.device_kernel, &spec, engine, &session) {
+            let mode = LaunchMode::Fault(&session);
+            match op.launch(Arc::clone(&compiled), inputs, target, engine, mode) {
                 Err(e) => {
                     let err = OperatorError::Sim(e);
                     let transient = err.class().is_transient();
@@ -582,12 +546,12 @@ pub fn supervise(
                     return fail(err, report, &step.label, attempt, rung_variant, rung_force);
                 }
                 Ok(run) => {
-                    report.virtual_us += run.run.virtual_us;
+                    report.virtual_us += run.faults.virtual_us;
                     if !run.corrupt_const_banks.is_empty() {
                         let detail =
                             format!("constant banks corrupted: {:?}", run.corrupt_const_banks);
                         if attempt + 1 < cfg.max_attempts {
-                            retry(&mut report, detail, run.run.virtual_us);
+                            retry(&mut report, detail, run.faults.virtual_us);
                             attempt += 1;
                             continue;
                         }
@@ -601,7 +565,7 @@ pub fn supervise(
                         );
                     }
 
-                    let corrupted = run.run.corrupted_blocks();
+                    let corrupted = run.faults.corrupted_blocks();
                     if corrupted.is_empty() {
                         note_rung(
                             &mut report,
@@ -615,23 +579,13 @@ pub fn supervise(
                             attempt,
                             action: RecoveryAction::Completed,
                             detail: "validated clean".into(),
-                            virtual_us: run.run.virtual_us,
+                            virtual_us: run.faults.virtual_us,
                         });
-                        return finish(
-                            op,
-                            target,
-                            engine,
-                            plan,
-                            compiled,
-                            run,
-                            rec,
-                            report,
-                            cache_report,
-                        );
+                        return finish(op, target, engine, plan, run, rec, report, cache_report);
                     }
 
-                    let launch_us = run.run.virtual_us;
-                    match try_repair(&compiled, &spec, engine, &corrupted, run) {
+                    let launch_us = run.faults.virtual_us;
+                    match try_repair(op, inputs, engine, &corrupted, run) {
                         Ok(run) => {
                             note_rung(
                                 &mut report,
@@ -649,14 +603,13 @@ pub fn supervise(
                                     corrupted.len(),
                                     block_list(&corrupted)
                                 ),
-                                virtual_us: run.run.virtual_us,
+                                virtual_us: run.faults.virtual_us,
                             });
                             return finish(
                                 op,
                                 target,
                                 engine,
                                 plan,
-                                compiled,
                                 run,
                                 rec,
                                 report,
@@ -723,16 +676,20 @@ fn ladder_steps(
 /// patch them into the run's output. Returns the repaired run, or a
 /// description of why the repair did not validate.
 fn try_repair(
-    compiled: &CompiledKernel,
-    spec: &hipacc_sim::launch::LaunchSpec<'_>,
+    op: &Operator,
+    inputs: &[(&str, &Image<f32>)],
     engine: Engine,
     corrupted: &[(u32, u32)],
-    mut run: FaultedLaunch,
-) -> Result<FaultedLaunch, String> {
-    let (stores, _stats) = repair_blocks(&compiled.device_kernel, spec, engine, corrupted)
-        .map_err(|e| format!("repair failed: {e}"))?;
+    mut run: Launched,
+) -> Result<Launched, String> {
+    let compiled = &run.execution.compiled;
+    let spec = op.sim_spec(compiled, inputs);
+    let mode = LaunchMode::Repair(corrupted);
+    let stores = run_in_mode(&compiled.device_kernel, &spec, engine, mode)
+        .map_err(|e| format!("repair failed: {e}"))?
+        .repaired;
     let expected: u64 = run
-        .run
+        .faults
         .ledger
         .iter()
         .filter(|l| corrupted.contains(&(l.bx, l.by)))
@@ -746,7 +703,7 @@ fn try_repair(
             block_list(corrupted)
         ));
     }
-    let raw = run.output.raw_mut();
+    let raw = run.execution.output.raw_mut();
     for s in &stores {
         if s.buf == "OUT" && s.idx < raw.len() {
             raw[s.idx] = s.value;
@@ -756,72 +713,26 @@ fn try_repair(
 }
 
 /// Assemble the successful result: execution, profile (fault plan and
-/// recovery spans included), and the recovery report.
+/// recovery spans included), and the recovery report. The recovery
+/// spans sit on the virtual timeline and start where the launch ended.
 #[allow(clippy::too_many_arguments, clippy::result_large_err)]
 fn finish(
     op: &Operator,
     target: &Target,
     engine: Engine,
     plan: &FaultPlan,
-    compiled: Arc<CompiledKernel>,
-    run: FaultedLaunch,
-    mut rec: Recorder,
+    run: Launched,
+    rec: Recorder,
     report: RecoveryReport,
     cache_report: Option<crate::cache::CacheReport>,
 ) -> Result<Supervised, SupervisedError> {
-    let time = op.estimate(&compiled, target);
-    let launch_start = now_us();
-    rec.record(
-        Span::new("execute", "launch", launch_start, run.run.virtual_us.max(1))
-            .arg("engine", engine.label())
-            .arg("workers", run.exec.n_workers.to_string())
-            .arg("blocks", run.exec.blocks.len().to_string()),
-    );
-    let mut spans = rec.into_spans();
-    spans.extend(report.spans(launch_start));
-
-    let regions = LaunchProfile::attribute_regions(&run.exec, |bx, by| {
-        compiled
-            .region_grid
-            .as_ref()
-            .map(|g| g.region_of(bx, by))
-            .unwrap_or(hipacc_codegen::Region::Interior)
-    });
-    // A cache hit means the compile phases never ran for this launch.
-    let phase_times = if cache_report.as_ref().is_some_and(|c| c.is_hit()) {
-        Vec::new()
-    } else {
-        compiled.phase_times.clone()
-    };
-    let profile = LaunchProfile {
-        kernel: op.def.name.clone(),
-        target: target.label(),
-        engine: engine.label(),
-        grid: compiled.grid,
-        block: (compiled.config.bx, compiled.config.by),
-        n_workers: run.exec.n_workers,
-        regions,
-        totals: run.stats,
-        blocks_per_worker: run.exec.blocks_per_worker(),
-        time,
-        occupancy: compiled.occupancy,
-        phase_times,
-        spans,
-        fault_plan: plan.any_armed().then(|| plan.summary()),
-        cache: cache_report,
-        warp_occupancy: run.exec.simd.and_then(|t| t.mean_active_fraction()),
-        override_conflicts: hipacc_sim::override_conflicts(Some(engine), op.options.sim_threads)
-            .into_iter()
-            .map(|c| c.to_string())
-            .collect(),
-    };
+    let recovery_start = run.wall_us.1;
+    let fault_plan = plan.any_armed().then(|| plan.summary());
+    let (execution, mut profile) =
+        run.into_profiled(op, target, engine, rec, cache_report, fault_plan);
+    profile.spans.extend(report.spans(recovery_start));
     Ok(Supervised {
-        execution: Execution {
-            output: run.output,
-            stats: run.stats,
-            time,
-            compiled,
-        },
+        execution,
         recovery: report,
         profile,
     })

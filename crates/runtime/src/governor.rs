@@ -10,9 +10,9 @@
 //! configured threshold, **opens** — pinning the stage to the proven
 //! degraded rung. Pinned frames compile that rung once (it becomes the
 //! cache-served `initial` rung) and run with the retry/degradation
-//! ladder bypassed. After [`Governor::probe_after`] pinned frames the
+//! ladder bypassed. After [`StreamConfig::probe_after`] pinned frames the
 //! breaker goes **half-open** and probes with the healthy configuration;
-//! [`Governor::close_after`] consecutive clean probes close it again,
+//! [`StreamConfig::close_after`] consecutive clean probes close it again,
 //! while a dirty probe re-opens it on the same pinned rung.
 //!
 //! ```text
@@ -34,6 +34,9 @@
 //! deterministic function of the fault plan. Breaker behaviour is
 //! therefore bit-identical between [`crate::Stream::run`] and
 //! [`crate::Stream::run_sequential`].
+//!
+//! [`StreamConfig::probe_after`]: crate::StreamConfig::probe_after
+//! [`StreamConfig::close_after`]: crate::StreamConfig::close_after
 
 use hipacc_codegen::MemVariant;
 use std::sync::Mutex;

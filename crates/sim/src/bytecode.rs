@@ -39,6 +39,7 @@
 
 use crate::interp::{phases, ExecStats, SimError};
 use crate::memory::{BufferGeometry, DeviceMemory, LaunchParams};
+use crate::sched::{LaunchMode, Outcome};
 use hipacc_image::boundary::{clamp_index, repeat_index};
 use hipacc_ir::fold::{eval_binop, eval_const, eval_mathfn, eval_unop};
 use hipacc_ir::kernel::{AddressMode, DeviceKernelDef};
@@ -223,8 +224,7 @@ pub enum ExecMode {
 /// worker pool that run its blocks. Dereferences to the program.
 ///
 /// Produced by [`compile`] (or bound over a program shared across
-/// launches); run with [`CompiledKernel::run`] (or use [`execute`] for the
-/// one-shot compile-and-run path).
+/// launches); run with [`CompiledKernel::run`].
 pub struct CompiledKernel {
     program: std::sync::Arc<Program>,
     /// Worker-count override captured from the launch parameters.
@@ -2303,139 +2303,116 @@ impl CompiledKernel {
         &self.program
     }
 
-    /// Execute the compiled program over the whole grid. Blocks run in
-    /// parallel across host cores; buffered stores are applied in
+    /// Execute the compiled program in `mode` on the `exec` engine. Blocks
+    /// run in parallel across host cores; buffered stores are applied in
     /// deterministic block order afterwards, exactly like the tree-walk
-    /// engine.
+    /// engine ([`crate::interp::execute`]), or returned uncommitted in
+    /// [`LaunchMode::Repair`]. [`LaunchMode::Observe`] is rejected: the
+    /// observer instruments the tree-walk interpreter only.
     ///
     /// The bound buffers must still have the geometry observed at compile
-    /// time (the interior checks were derived from it).
-    pub fn run(&self, mem: &mut DeviceMemory) -> Result<ExecStats, SimError> {
-        self.run_with(mem, ExecMode::Scalar)
-    }
-
-    /// [`Self::run`] under an explicit [`ExecMode`].
-    pub fn run_with(&self, mem: &mut DeviceMemory, mode: ExecMode) -> Result<ExecStats, SimError> {
-        self.run_inner(mem, false, None, mode)
-            .map(|(stats, _, _)| stats)
-    }
-
-    /// [`Self::run`] while recording per-block statistics: identical
-    /// semantics and totals, plus an [`ExecProfile`] with one
-    /// [`ExecStats`] record per block and the worker that ran it.
-    ///
-    /// [`ExecProfile`]: crate::sched::ExecProfile
-    pub fn run_profiled(
+    /// time (the interior checks were derived from it). Constant banks
+    /// were captured at [`compile`] time too, so a fault hook's memory
+    /// corruption must be applied *before* compiling; the launch-level
+    /// entry point owns that ordering.
+    pub fn run(
         &self,
         mem: &mut DeviceMemory,
-    ) -> Result<(ExecStats, crate::sched::ExecProfile), SimError> {
-        self.run_profiled_with(mem, ExecMode::Scalar)
-    }
-
-    /// [`Self::run_profiled`] under an explicit [`ExecMode`].
-    pub fn run_profiled_with(
-        &self,
-        mem: &mut DeviceMemory,
-        mode: ExecMode,
-    ) -> Result<(ExecStats, crate::sched::ExecProfile), SimError> {
-        let (stats, profile, _) = self.run_inner(mem, true, None, mode)?;
-        Ok((stats, profile.expect("profiling requested")))
-    }
-
-    /// [`Self::run_profiled`] with a fault injector attached: the hook may
-    /// corrupt memory, stall or hang workers on the virtual clock, and
-    /// mutate or drop block stores before commit, mirroring
-    /// [`crate::interp::execute_faulted`] exactly. Note that constant
-    /// banks are captured at [`compile`] time, so constant-memory
-    /// corruption must be applied to the [`DeviceMemory`] *before*
-    /// compiling (the launch-level entry point does this).
-    pub fn run_faulted(
-        &self,
-        mem: &mut DeviceMemory,
-        hook: &dyn crate::inject::FaultHook,
-    ) -> Result<
-        (
-            ExecStats,
-            crate::sched::ExecProfile,
-            crate::inject::FaultedRun,
-        ),
-        SimError,
-    > {
-        self.run_faulted_with(mem, hook, ExecMode::Scalar)
-    }
-
-    /// [`Self::run_faulted`] under an explicit [`ExecMode`].
-    pub fn run_faulted_with(
-        &self,
-        mem: &mut DeviceMemory,
-        hook: &dyn crate::inject::FaultHook,
-        mode: ExecMode,
-    ) -> Result<
-        (
-            ExecStats,
-            crate::sched::ExecProfile,
-            crate::inject::FaultedRun,
-        ),
-        SimError,
-    > {
-        let (stats, profile, faults) = self.run_inner(mem, true, Some(hook), mode)?;
-        Ok((
-            stats,
-            profile.expect("profiling requested"),
-            faults.expect("fault hook attached"),
-        ))
-    }
-
-    /// Re-execute the listed blocks fault-free and return their stores
-    /// *without committing them* — the bytecode half of the
-    /// selective-repair primitive ([`crate::interp::execute_blocks`] is
-    /// the tree-walk half).
-    pub fn run_blocks(
-        &self,
-        mem: &DeviceMemory,
-        blocks: &[(u32, u32)],
-    ) -> Result<(Vec<crate::inject::RepairStore>, ExecStats), SimError> {
-        self.run_blocks_with(mem, blocks, ExecMode::Scalar)
-    }
-
-    /// [`Self::run_blocks`] under an explicit [`ExecMode`].
-    pub fn run_blocks_with(
-        &self,
-        mem: &DeviceMemory,
-        blocks: &[(u32, u32)],
-        mode: ExecMode,
-    ) -> Result<(Vec<crate::inject::RepairStore>, ExecStats), SimError> {
-        let bufs = self.buffer_views(mem)?;
-        let simd_ok = mode == ExecMode::Simd && crate::simd::plan_supported(self);
-        let mut scratch = BlockScratch::default();
-        let mut journal = Vec::new();
-        let mut tel = crate::sched::SimdTelemetry::default();
-        let mut out = Vec::new();
-        let mut stats = ExecStats::default();
-        for &(bx, by) in blocks {
-            journal.clear();
-            let (range, block_stats) = run_block_dispatch(
-                self,
-                &bufs,
-                bx,
-                by,
-                &mut scratch,
-                &mut journal,
-                simd_ok,
-                &mut tel,
-            )?;
-            stats.merge(&block_stats);
-            out.extend(journal[range].iter().map(|s| crate::inject::RepairStore {
-                buf: self.globals[s.buf as usize].name.clone(),
-                idx: s.idx as usize,
-                value: s.value,
-            }));
+        exec: ExecMode,
+        mode: LaunchMode<'_>,
+    ) -> Result<Outcome, SimError> {
+        if let LaunchMode::Observe = mode {
+            return Err(SimError::InvalidLaunch(
+                "the dynamic observer runs on the tree-walk engine only".into(),
+            ));
         }
-        Ok((out, stats))
+        let hook = mode.hook();
+        let bufs = self.buffer_views(mem)?;
+        let simd_ok = exec == ExecMode::Simd && crate::simd::plan_supported(self);
+        let key = self.scratch_key();
+
+        let blocks = mode.blocks(self.grid);
+        let pool = self.pool.as_deref();
+        let n_workers =
+            crate::sched::effective_workers_pooled(self.sim_threads, blocks.len(), pool)?;
+
+        // Each worker owns one pooled scratch and journal; a block's
+        // stores are a range of its worker's journal.
+        let (ran, mut states, vmax) = crate::sched::run_blocks(
+            pool,
+            n_workers,
+            &blocks,
+            hook,
+            || {
+                let mut scratch = SCRATCH_POOL.checkout(key).unwrap_or_default();
+                let mut journal = std::mem::take(&mut scratch.journal);
+                journal.clear();
+                (scratch, journal, crate::sched::SimdTelemetry::default())
+            },
+            |(scratch, journal, tel), bx, by| {
+                run_block_dispatch(self, &bufs, bx, by, scratch, journal, simd_ok, tel)
+            },
+        )?;
+        drop(bufs);
+
+        let mut outcome = Outcome::start(&mode, n_workers, blocks.len(), vmax);
+        if let Some(p) = outcome.profile.as_mut() {
+            let mut tel_total = crate::sched::SimdTelemetry::default();
+            for (_, _, tel) in &states {
+                tel_total.merge(tel);
+            }
+            p.simd = (exec == ExecMode::Simd).then_some(tel_total);
+        }
+        let name = |st: &StoreRec| &self.globals[st.buf as usize].name;
+        for (&(bx, by), (worker, (range, block_stats), lat)) in blocks.iter().zip(ran) {
+            outcome.add_block(bx, by, worker, block_stats);
+            let stores = &mut states[worker].1[range];
+            // Faults mutate the journal range in place; `Drop` skips the
+            // commit entirely.
+            if let (Some(h), Some(run)) = (hook, outcome.faults.as_mut()) {
+                let (ledger, dropped) = crate::inject::apply_block_fault(
+                    h,
+                    (bx, by),
+                    self.grid,
+                    lat,
+                    stores,
+                    |st| crate::inject::store_hash(name(st), st.idx as usize, st.value),
+                    |st| &mut st.value,
+                );
+                run.ledger.push(ledger);
+                if dropped {
+                    continue;
+                }
+            }
+            if let LaunchMode::Repair(_) = mode {
+                outcome
+                    .repaired
+                    .extend(stores.iter().map(|st| crate::inject::RepairStore {
+                        buf: name(st).clone(),
+                        idx: st.idx as usize,
+                        value: st.value,
+                    }));
+                continue;
+            }
+            for st in stores.iter() {
+                let buf = mem
+                    .buffer_mut(name(st))
+                    .ok_or_else(|| SimError::UnboundBuffer(name(st).clone()))?;
+                buf.data[st.idx as usize] = st.value;
+            }
+        }
+
+        // Park the per-worker scratch for the next launch of the same
+        // geometry (journals keep their capacity, not their contents).
+        for (mut scratch, mut journal, _) in states {
+            journal.clear();
+            scratch.journal = journal;
+            SCRATCH_POOL.publish(key, scratch);
+        }
+        Ok(outcome)
     }
 
-    /// Resolve the binding table against bound memory (shared by the run
-    /// paths and the repair path).
+    /// Resolve the binding table against bound memory.
     fn buffer_views<'m>(&self, mem: &'m DeviceMemory) -> Result<Vec<BufView<'m>>, SimError> {
         let mut bufs = Vec::with_capacity(self.globals.len());
         for g in &self.globals {
@@ -2458,212 +2435,6 @@ impl CompiledKernel {
         }
         Ok(bufs)
     }
-
-    fn run_inner(
-        &self,
-        mem: &mut DeviceMemory,
-        profile: bool,
-        hook: Option<&dyn crate::inject::FaultHook>,
-        mode: ExecMode,
-    ) -> Result<
-        (
-            ExecStats,
-            Option<crate::sched::ExecProfile>,
-            Option<crate::inject::FaultedRun>,
-        ),
-        SimError,
-    > {
-        // A disabled hook leaves this launch byte-for-byte on the plain
-        // path. Constant banks were captured at compile time, so
-        // corrupt_memory must already have run before [`compile`]; the
-        // launch-level entry point owns that ordering.
-        let hook = hook.filter(|h| h.enabled());
-        let deadline = hook.and_then(|h| h.deadline_us());
-
-        let bufs = self.buffer_views(mem)?;
-        let simd_ok = mode == ExecMode::Simd && crate::simd::plan_supported(self);
-        let key = self.scratch_key();
-
-        let (gx, gy) = self.grid;
-        let blocks: Vec<(u32, u32)> = (0..gy)
-            .flat_map(|by| (0..gx).map(move |bx| (bx, by)))
-            .collect();
-        let pool = self.pool.as_deref();
-        let n_workers =
-            crate::sched::effective_workers_pooled(self.sim_threads, blocks.len(), pool)?;
-
-        // Strided block-to-worker assignment with results keyed by the
-        // linear block index, exactly like the tree-walk engine: stores
-        // are applied in block order afterwards, so outputs stay
-        // bit-identical regardless of the worker count. Each worker owns
-        // one pooled journal; a block's stores are a range of it. The
-        // trailing u64 is the block's virtual latency (0 without a fault
-        // hook).
-        type BlockOut = (usize, std::ops::Range<usize>, ExecStats, u64);
-        type WorkerOut = (
-            Vec<BlockOut>,
-            Vec<StoreRec>,
-            crate::sched::SimdTelemetry,
-            BlockScratch,
-        );
-        let bufs_ref = &bufs;
-        let blocks_ref = &blocks;
-        let results: Vec<Result<WorkerOut, SimError>> =
-            crate::sched::run_workers(pool, n_workers, |w| {
-                let mut scratch = SCRATCH_POOL.checkout(key).unwrap_or_default();
-                let mut journal = std::mem::take(&mut scratch.journal);
-                journal.clear();
-                let mut tel = crate::sched::SimdTelemetry::default();
-                let mut out: Vec<BlockOut> =
-                    Vec::with_capacity(crate::sched::worker_share(blocks_ref.len(), n_workers, w));
-                let mut vtime: u64 = 0;
-                for i in crate::sched::worker_indices(blocks_ref.len(), n_workers, w) {
-                    let (bx, by) = blocks_ref[i];
-                    let mut lat = 0u64;
-                    if let Some(h) = hook {
-                        if h.block_panic(bx, by) {
-                            panic!("injected worker panic at block ({bx},{by})");
-                        }
-                        lat = h.block_latency_us(bx, by);
-                        vtime = vtime.saturating_add(lat);
-                        if let Some(d) = deadline {
-                            if vtime > d {
-                                return Err(SimError::DeadlineExceeded {
-                                    worker: w,
-                                    elapsed_us: vtime,
-                                    deadline_us: d,
-                                });
-                            }
-                        }
-                    }
-                    let (range, block_stats) = run_block_dispatch(
-                        self,
-                        bufs_ref,
-                        bx,
-                        by,
-                        &mut scratch,
-                        &mut journal,
-                        simd_ok,
-                        &mut tel,
-                    )?;
-                    out.push((i, range, block_stats, lat));
-                }
-                Ok((out, journal, tel, scratch))
-            });
-        drop(bufs);
-
-        let mut slots: Vec<Option<BlockOut>> = (0..blocks.len()).map(|_| None).collect();
-        let mut worker_vtime = vec![0u64; n_workers];
-        let mut journals: Vec<Vec<StoreRec>> = Vec::with_capacity(n_workers);
-        let mut scratches: Vec<BlockScratch> = Vec::with_capacity(n_workers);
-        let mut tel_total = crate::sched::SimdTelemetry::default();
-        for (w, result) in results.into_iter().enumerate() {
-            let (outs, journal, tel, scratch) = result?;
-            tel_total.merge(&tel);
-            for (i, range, stats, lat) in outs {
-                worker_vtime[w] = worker_vtime[w].saturating_add(lat);
-                slots[i] = Some((w, range, stats, lat));
-            }
-            journals.push(journal);
-            scratches.push(scratch);
-        }
-
-        let mut stats_total = ExecStats::default();
-        let mut exec_profile = profile.then(|| crate::sched::ExecProfile {
-            n_workers,
-            blocks: Vec::with_capacity(blocks.len()),
-            simd: (mode == ExecMode::Simd).then_some(tel_total),
-        });
-        let mut faulted = hook.map(|_| crate::inject::FaultedRun {
-            ledger: Vec::with_capacity(blocks.len()),
-            virtual_us: worker_vtime.iter().copied().max().unwrap_or(0),
-        });
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (worker, range, block_stats, lat) = slot.expect("every block ran");
-            stats_total.merge(&block_stats);
-            let (bx, by) = blocks[i];
-            if let Some(p) = exec_profile.as_mut() {
-                p.blocks.push(crate::sched::BlockProfile {
-                    bx,
-                    by,
-                    worker,
-                    stats: block_stats,
-                });
-            }
-            // Faults mutate the journal range in place; `Drop` skips the
-            // commit entirely (the former `stores.clear()`).
-            let mut dropped = false;
-            if let (Some(h), Some(run)) = (hook, faulted.as_mut()) {
-                use crate::inject::{combine_hash, store_hash, BlockFault, POISON_BITS};
-                let border = crate::inject::is_border_block(bx, by, self.grid);
-                let stores = &mut journals[worker][range.clone()];
-                let mut expected = 0u64;
-                for st in stores.iter() {
-                    let name = &self.globals[st.buf as usize].name;
-                    expected = combine_hash(expected, store_hash(name, st.idx as usize, st.value));
-                }
-                match h.block_fault(bx, by, border) {
-                    BlockFault::None => {}
-                    BlockFault::Drop => dropped = true,
-                    BlockFault::FlipBits { nth, mask } => {
-                        if !stores.is_empty() {
-                            let t = nth as usize % stores.len();
-                            stores[t].value = f32::from_bits(stores[t].value.to_bits() ^ mask);
-                        }
-                    }
-                    BlockFault::Poison => {
-                        for st in stores.iter_mut() {
-                            st.value = f32::from_bits(POISON_BITS);
-                        }
-                    }
-                }
-                let mut committed = 0u64;
-                if !dropped {
-                    for st in stores.iter() {
-                        let name = &self.globals[st.buf as usize].name;
-                        committed =
-                            combine_hash(committed, store_hash(name, st.idx as usize, st.value));
-                    }
-                }
-                run.ledger.push(crate::inject::BlockLedger {
-                    bx,
-                    by,
-                    border,
-                    expected,
-                    committed,
-                    virtual_us: lat,
-                });
-            }
-            if !dropped {
-                for st in &journals[worker][range] {
-                    let name = &self.globals[st.buf as usize].name;
-                    let buf = mem
-                        .buffer_mut(name)
-                        .ok_or_else(|| SimError::UnboundBuffer(name.clone()))?;
-                    buf.data[st.idx as usize] = st.value;
-                }
-            }
-        }
-
-        // Park the per-worker scratch for the next launch of the same
-        // geometry (journals keep their capacity, not their contents).
-        for (journal, mut scratch) in journals.into_iter().zip(scratches) {
-            scratch.journal = journal;
-            scratch.journal.clear();
-            SCRATCH_POOL.publish(key, scratch);
-        }
-        Ok((stats_total, exec_profile, faulted))
-    }
-}
-
-/// Compile a kernel for this launch and execute it: the bytecode engine's
-/// drop-in equivalent of [`crate::interp::execute`].
-pub fn execute(
-    kernel: &DeviceKernelDef,
-    params: &LaunchParams,
-    mem: &mut DeviceMemory,
-) -> Result<ExecStats, SimError> {
-    compile(kernel, params, mem)?.run(mem)
 }
 
 #[cfg(test)]
@@ -2676,6 +2447,17 @@ mod tests {
     };
     use hipacc_ir::stmt::LValue;
 
+    /// Compile and run one plain launch on the scalar engine.
+    fn execute(
+        k: &DeviceKernelDef,
+        p: &LaunchParams,
+        mem: &mut DeviceMemory,
+    ) -> Result<ExecStats, SimError> {
+        compile(k, p, mem)?
+            .run(mem, ExecMode::Scalar, LaunchMode::Plain)
+            .map(|o| o.stats)
+    }
+
     /// Run the same launch through all three engines and assert
     /// bit-identical outputs and identical dynamic statistics, then
     /// return them.
@@ -2687,12 +2469,15 @@ mod tests {
         let mut mem_tree = mem.clone();
         let mut mem_bc = mem.clone();
         let mut mem_simd = mem.clone();
-        let stats_tree = interp::execute(k, p, &mut mem_tree).unwrap();
+        let stats_tree = interp::execute(k, p, &mut mem_tree, LaunchMode::Plain)
+            .unwrap()
+            .stats;
         let stats_bc = execute(k, p, &mut mem_bc).unwrap();
         let stats_simd = compile(k, p, &mem_simd)
             .unwrap()
-            .run_with(&mut mem_simd, ExecMode::Simd)
-            .unwrap();
+            .run(&mut mem_simd, ExecMode::Simd, LaunchMode::Plain)
+            .unwrap()
+            .stats;
         assert_eq!(stats_tree, stats_bc, "ExecStats diverge for `{}`", k.name);
         assert_eq!(
             stats_tree, stats_simd,
@@ -3105,15 +2890,18 @@ mod tests {
         p.set_int("n", 64);
         let mut mem = linear_mem(64);
         let ck = compile(&k, &p, &mem).unwrap();
-        ck.run(&mut mem).unwrap();
+        ck.run(&mut mem, ExecMode::Scalar, LaunchMode::Plain)
+            .unwrap();
         let first = mem.buffer("OUT").unwrap().data.clone();
         let mut mem2 = linear_mem(64);
-        ck.run(&mut mem2).unwrap();
+        ck.run(&mut mem2, ExecMode::Scalar, LaunchMode::Plain)
+            .unwrap();
         assert_eq!(first, mem2.buffer("OUT").unwrap().data);
 
         let mut small = linear_mem(32);
         assert!(matches!(
-            ck.run(&mut small).unwrap_err(),
+            ck.run(&mut small, ExecMode::Scalar, LaunchMode::Plain)
+                .unwrap_err(),
             SimError::EvalError(_)
         ));
     }

@@ -27,11 +27,15 @@
 //! supervisor's output validation keys on. Because generated kernels
 //! write disjoint output cells per block, a mismatched block can be
 //! repaired by re-executing only that block (see
-//! [`crate::launch::repair_blocks`]).
+//! [`LaunchMode::Repair`]).
 //!
-//! With no hook attached (every plain `execute`/`run` path) none of this
-//! exists: the engines check the `Option` once per launch and the hot
-//! per-thread loops are untouched.
+//! Outside [`LaunchMode::Fault`] none of this exists: the engines check
+//! the `Option` once per launch and the hot per-thread loops are
+//! untouched.
+//!
+//! [`LaunchMode::Repair`]: crate::sched::LaunchMode::Repair
+//! [`LaunchMode::Fault`]: crate::sched::LaunchMode::Fault
+//! [`SimError::DeadlineExceeded`]: crate::interp::SimError::DeadlineExceeded
 
 use crate::memory::DeviceMemory;
 
@@ -68,8 +72,10 @@ pub const POISON_BITS: u32 = 0x7fc0_0000;
 /// from worker threads (hence `Sync`) but commit store faults on the main
 /// thread in linear block order.
 pub trait FaultHook: Sync {
-    /// Whether any fault can fire this launch. `false` makes the faulted
-    /// entry points behave exactly like the plain ones.
+    /// Whether any fault can fire this launch. `false` makes a
+    /// [`LaunchMode::Fault`] launch behave exactly like a profiled one.
+    ///
+    /// [`LaunchMode::Fault`]: crate::sched::LaunchMode::Fault
     fn enabled(&self) -> bool;
 
     /// Corrupt launch memory before execution (constant-bank flips).
@@ -183,6 +189,52 @@ pub fn combine_hash(acc: u64, h: u64) -> u64 {
 /// Whether block `(bx, by)` lies on the rim of a `grid`-sized launch.
 pub fn is_border_block(bx: u32, by: u32, grid: (u32, u32)) -> bool {
     bx == 0 || by == 0 || bx + 1 >= grid.0 || by + 1 >= grid.1
+}
+
+/// Apply `hook`'s store fault to block `(bx, by)`'s buffered stores, in
+/// place, and return the block's ledger entry plus whether its stores
+/// must be dropped instead of committed. Shared by both engines, whose
+/// journals differ only in how a store names its buffer (`hash`) and
+/// holds its value (`value`).
+pub(crate) fn apply_block_fault<S>(
+    hook: &dyn FaultHook,
+    (bx, by): (u32, u32),
+    grid: (u32, u32),
+    virtual_us: u64,
+    stores: &mut [S],
+    hash: impl Fn(&S) -> u64,
+    value: impl Fn(&mut S) -> &mut f32,
+) -> (BlockLedger, bool) {
+    let checksum = |stores: &[S]| stores.iter().fold(0, |acc, s| combine_hash(acc, hash(s)));
+    let border = is_border_block(bx, by, grid);
+    let expected = checksum(stores);
+    let mut dropped = false;
+    match hook.block_fault(bx, by, border) {
+        BlockFault::None => {}
+        BlockFault::Drop => dropped = true,
+        BlockFault::FlipBits { nth, mask } => {
+            if !stores.is_empty() {
+                let n = stores.len();
+                let v = value(&mut stores[nth as usize % n]);
+                *v = f32::from_bits(v.to_bits() ^ mask);
+            }
+        }
+        BlockFault::Poison => {
+            for s in stores.iter_mut() {
+                *value(s) = f32::from_bits(POISON_BITS);
+            }
+        }
+    }
+    let committed = if dropped { 0 } else { checksum(stores) };
+    let ledger = BlockLedger {
+        bx,
+        by,
+        border,
+        expected,
+        committed,
+        virtual_us,
+    };
+    (ledger, dropped)
 }
 
 #[cfg(test)]

@@ -23,6 +23,7 @@
 
 use crate::memory::{DeviceMemory, LaunchParams};
 use crate::observer::ObserverReport;
+use crate::sched::{LaunchMode, Outcome};
 use hipacc_image::boundary::{clamp_index, repeat_index};
 use hipacc_ir::fold::{eval_binop, eval_mathfn, eval_unop};
 use hipacc_ir::kernel::{AddressMode, DeviceKernelDef};
@@ -248,8 +249,8 @@ struct BlockState {
     shared: HashMap<String, (Vec<f32>, u32 /* cols */)>,
     stores: Vec<PendingStore>,
     stats: ExecStats,
-    /// Present only on observed runs ([`execute_observed`]); never alters
-    /// execution semantics or statistics.
+    /// Present only on observed runs ([`LaunchMode::Observe`]); never
+    /// alters execution semantics or statistics.
     obs: Option<crate::observer::BlockObserver>,
 }
 
@@ -646,117 +647,20 @@ fn run_block(
     ))
 }
 
-/// Execute a kernel launch over the whole grid. Blocks run in parallel
-/// across host cores; buffered stores are applied in deterministic block
-/// order afterwards.
+/// Execute a kernel launch in `mode`. Blocks run in parallel across host
+/// cores; their buffered stores are applied in deterministic block order
+/// afterwards (in [`LaunchMode::Repair`] they are returned instead).
+///
+/// Memory corruption by a fault hook is *not* applied here: the
+/// launch-level entry point owns that ordering (it must corrupt before
+/// bytecode compilation captures the constant banks), so both engines
+/// see identically corrupted memory.
 pub fn execute(
     kernel: &DeviceKernelDef,
     params: &LaunchParams,
     mem: &mut DeviceMemory,
-) -> Result<ExecStats, SimError> {
-    execute_inner(kernel, params, mem, false, false, None).map(|(stats, _, _, _)| stats)
-}
-
-/// Execute a kernel launch while recording per-block statistics: identical
-/// semantics and totals to [`execute`], plus an [`ExecProfile`] with one
-/// [`ExecStats`] record per block (in linear block order) and the worker
-/// that ran it.
-///
-/// [`ExecProfile`]: crate::sched::ExecProfile
-pub fn execute_profiled(
-    kernel: &DeviceKernelDef,
-    params: &LaunchParams,
-    mem: &mut DeviceMemory,
-) -> Result<(ExecStats, crate::sched::ExecProfile), SimError> {
-    let (stats, _, profile, _) = execute_inner(kernel, params, mem, false, true, None)?;
-    Ok((stats, profile.expect("profiling requested")))
-}
-
-/// Execute a kernel launch with a fault injector attached: semantics are
-/// identical to [`execute_profiled`] except that the hook may corrupt
-/// memory, stall or hang workers on the virtual clock, and mutate or drop
-/// block stores before commit. Returns the per-block execution profile
-/// plus the per-block checksum ledger (see [`crate::inject`]).
-pub fn execute_faulted(
-    kernel: &DeviceKernelDef,
-    params: &LaunchParams,
-    mem: &mut DeviceMemory,
-    hook: &dyn crate::inject::FaultHook,
-) -> Result<
-    (
-        ExecStats,
-        crate::sched::ExecProfile,
-        crate::inject::FaultedRun,
-    ),
-    SimError,
-> {
-    let (stats, _, profile, faults) = execute_inner(kernel, params, mem, false, true, Some(hook))?;
-    Ok((
-        stats,
-        profile.expect("profiling requested"),
-        faults.expect("fault hook attached"),
-    ))
-}
-
-/// Re-execute the listed blocks fault-free against the bound memory and
-/// return their stores *without committing them* — the selective-repair
-/// primitive. Input buffers are read-only during a launch and generated
-/// kernels write disjoint cells per block, so re-running a block in
-/// isolation reproduces exactly the stores of a clean launch.
-pub fn execute_blocks(
-    kernel: &DeviceKernelDef,
-    params: &LaunchParams,
-    mem: &DeviceMemory,
-    blocks: &[(u32, u32)],
-) -> Result<(Vec<crate::inject::RepairStore>, ExecStats), SimError> {
-    let mut out = Vec::new();
-    let mut stats = ExecStats::default();
-    for &(bx, by) in blocks {
-        let (stores, block_stats, _) = run_block(kernel, mem, params, bx, by, false)?;
-        stats.merge(&block_stats);
-        out.extend(stores.into_iter().map(|s| crate::inject::RepairStore {
-            buf: s.buf,
-            idx: s.idx,
-            value: s.value,
-        }));
-    }
-    Ok((out, stats))
-}
-
-/// Execute a kernel launch with the dynamic observer attached: identical
-/// semantics and statistics to [`execute`], plus an [`ObserverReport`]
-/// witnessing shared-memory races, shared out-of-bounds accesses, global
-/// out-of-bounds accesses and global store conflicts.
-pub fn execute_observed(
-    kernel: &DeviceKernelDef,
-    params: &LaunchParams,
-    mem: &mut DeviceMemory,
-) -> Result<(ExecStats, ObserverReport), SimError> {
-    let (stats, report, _, _) = execute_inner(kernel, params, mem, true, false, None)?;
-    let mut report = report.unwrap_or_default();
-    report.global_oob_reads = stats.oob_reads;
-    report.global_oob_stores = stats.oob_stores;
-    Ok((stats, report))
-}
-
-/// Everything [`execute_inner`] can produce, depending on what the entry
-/// point asked for: stats always, plus the optional observer report,
-/// per-block profile, and fault-plane ledger.
-type InnerOutcome = (
-    ExecStats,
-    Option<ObserverReport>,
-    Option<crate::sched::ExecProfile>,
-    Option<crate::inject::FaultedRun>,
-);
-
-fn execute_inner(
-    kernel: &DeviceKernelDef,
-    params: &LaunchParams,
-    mem: &mut DeviceMemory,
-    observe: bool,
-    profile: bool,
-    hook: Option<&dyn crate::inject::FaultHook>,
-) -> Result<InnerOutcome, SimError> {
+    mode: LaunchMode<'_>,
+) -> Result<Outcome, SimError> {
     // Every scalar parameter must be supplied.
     for p in &kernel.scalars {
         if !params.scalars.contains_key(&p.name) {
@@ -769,154 +673,65 @@ fn execute_inner(
         }
     }
 
-    // The fault hook participates only when it says it can fire; a
-    // disabled hook leaves this launch byte-for-byte on the plain path.
-    // Memory corruption is NOT applied here: the launch-level entry point
-    // owns that ordering (it must corrupt before bytecode compilation
-    // captures the constant banks), and both engines must see identically
-    // corrupted memory.
-    let hook = hook.filter(|h| h.enabled());
-    let deadline = hook.and_then(|h| h.deadline_us());
-
-    let (gx, gy) = params.grid;
-    let blocks: Vec<(u32, u32)> = (0..gy)
-        .flat_map(|by| (0..gx).map(move |bx| (bx, by)))
-        .collect();
-
+    let hook = mode.hook();
+    let observe = matches!(mode, LaunchMode::Observe);
+    let blocks = mode.blocks(params.grid);
     let pool = params.pool.as_deref();
     let n_workers = crate::sched::effective_workers_pooled(params.sim_threads, blocks.len(), pool)?;
 
-    // Each worker returns its per-block results keyed by the linear block
-    // index; the main thread re-assembles them into block order below, so
-    // store application (and report merging) stays deterministic and
-    // independent of the worker count. The trailing u64 is the block's
-    // virtual latency (always 0 without a fault hook).
-    type BlockOut = (
-        usize,
-        Vec<PendingStore>,
-        ExecStats,
-        Option<ObserverReport>,
-        u64,
-    );
     let mem_ro: &DeviceMemory = mem;
-    let blocks_ref = &blocks;
-    let results: Vec<Result<Vec<BlockOut>, SimError>> =
-        crate::sched::run_workers(pool, n_workers, |w| {
-            let mut out: Vec<BlockOut> =
-                Vec::with_capacity(crate::sched::worker_share(blocks_ref.len(), n_workers, w));
-            let mut vtime: u64 = 0;
-            for i in crate::sched::worker_indices(blocks_ref.len(), n_workers, w) {
-                let (bx, by) = blocks_ref[i];
-                let mut lat = 0u64;
-                if let Some(h) = hook {
-                    if h.block_panic(bx, by) {
-                        panic!("injected worker panic at block ({bx},{by})");
-                    }
-                    lat = h.block_latency_us(bx, by);
-                    vtime = vtime.saturating_add(lat);
-                    if let Some(d) = deadline {
-                        if vtime > d {
-                            // A hung (or badly stalled) block: the
-                            // supervisor's deadline cancels the launch.
-                            return Err(SimError::DeadlineExceeded {
-                                worker: w,
-                                elapsed_us: vtime,
-                                deadline_us: d,
-                            });
-                        }
-                    }
-                }
-                let (s, block_stats, block_report) =
-                    run_block(kernel, mem_ro, params, bx, by, observe)?;
-                out.push((i, s, block_stats, block_report, lat));
-            }
-            Ok(out)
-        });
-
-    // Reassemble into linear block order ((worker, stores, stats, report,
-    // latency) per block, as in BlockOut but keyed by position).
-    let mut slots: Vec<Option<BlockOut>> = (0..blocks.len()).map(|_| None).collect();
-    let mut worker_vtime = vec![0u64; n_workers];
-    for (w, result) in results.into_iter().enumerate() {
-        for (i, stores, stats, report, lat) in result? {
-            worker_vtime[w] = worker_vtime[w].saturating_add(lat);
-            slots[i] = Some((w, stores, stats, report, lat));
-        }
-    }
-
-    let mut stats_total = ExecStats::default();
-    let mut report_total: Option<ObserverReport> = observe.then(ObserverReport::default);
-    let mut exec_profile = profile.then(|| crate::sched::ExecProfile {
+    let (ran, _, vmax) = crate::sched::run_blocks(
+        pool,
         n_workers,
-        blocks: Vec::with_capacity(blocks.len()),
-        simd: None,
-    });
-    let mut faulted = hook.map(|_| crate::inject::FaultedRun {
-        ledger: Vec::with_capacity(blocks.len()),
-        virtual_us: worker_vtime.iter().copied().max().unwrap_or(0),
-    });
+        &blocks,
+        hook,
+        || (),
+        |_, bx, by| run_block(kernel, mem_ro, params, bx, by, observe),
+    )?;
+
+    let mut outcome = Outcome::start(&mode, n_workers, blocks.len(), vmax);
     // Generated kernels write each output pixel exactly once, so two
     // stores landing on one cell mean overlapping iteration spaces.
     let mut store_counts: HashMap<(String, usize), u64> = HashMap::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        let (worker, mut stores, block_stats, block_report, lat) = slot.expect("every block ran");
-        stats_total.merge(&block_stats);
-        if let (Some(total), Some(r)) = (report_total.as_mut(), block_report.as_ref()) {
+    for (&(bx, by), (worker, (mut stores, block_stats, block_report), lat)) in
+        blocks.iter().zip(ran)
+    {
+        outcome.add_block(bx, by, worker, block_stats);
+        if let (Some(total), Some(r)) = (outcome.observed.as_mut(), block_report.as_ref()) {
             total.merge(r);
         }
-        let (bx, by) = blocks[i];
-        if let Some(p) = exec_profile.as_mut() {
-            p.blocks.push(crate::sched::BlockProfile {
-                bx,
-                by,
-                worker,
-                stats: block_stats,
-            });
+        if let (Some(h), Some(run)) = (hook, outcome.faults.as_mut()) {
+            let (ledger, dropped) = crate::inject::apply_block_fault(
+                h,
+                (bx, by),
+                params.grid,
+                lat,
+                &mut stores,
+                |st| crate::inject::store_hash(&st.buf, st.idx, st.value),
+                |st| &mut st.value,
+            );
+            run.ledger.push(ledger);
+            if dropped {
+                stores.clear();
+            }
         }
-        if let (Some(h), Some(run)) = (hook, faulted.as_mut()) {
-            use crate::inject::{combine_hash, store_hash, BlockFault, POISON_BITS};
-            let border = crate::inject::is_border_block(bx, by, params.grid);
-            let mut expected = 0u64;
-            for st in &stores {
-                expected = combine_hash(expected, store_hash(&st.buf, st.idx, st.value));
-            }
-            match h.block_fault(bx, by, border) {
-                BlockFault::None => {}
-                BlockFault::Drop => stores.clear(),
-                BlockFault::FlipBits { nth, mask } => {
-                    if !stores.is_empty() {
-                        let t = nth as usize % stores.len();
-                        stores[t].value = f32::from_bits(stores[t].value.to_bits() ^ mask);
-                    }
-                }
-                BlockFault::Poison => {
-                    for st in &mut stores {
-                        st.value = f32::from_bits(POISON_BITS);
-                    }
-                }
-            }
-            let mut committed = 0u64;
-            for st in &stores {
-                committed = combine_hash(committed, store_hash(&st.buf, st.idx, st.value));
-            }
-            run.ledger.push(crate::inject::BlockLedger {
-                bx,
-                by,
-                border,
-                expected,
-                committed,
-                virtual_us: lat,
-            });
+        if let LaunchMode::Repair(_) = mode {
+            outcome
+                .repaired
+                .extend(stores.into_iter().map(|s| crate::inject::RepairStore {
+                    buf: s.buf,
+                    idx: s.idx,
+                    value: s.value,
+                }));
+            continue;
         }
         for st in stores {
-            if observe {
+            if let Some(total) = outcome.observed.as_mut() {
                 let n = store_counts.entry((st.buf.clone(), st.idx)).or_insert(0);
                 *n += 1;
                 if *n == 2 {
-                    if let Some(total) = report_total.as_mut() {
-                        total.global_store_conflicts += 1;
-                        total.example(format!("multiple threads store `{}`[{}]", st.buf, st.idx));
-                    }
+                    total.global_store_conflicts += 1;
+                    total.example(format!("multiple threads store `{}`[{}]", st.buf, st.idx));
                 }
             }
             let buf = mem
@@ -925,8 +740,11 @@ fn execute_inner(
             buf.data[st.idx] = st.value;
         }
     }
-
-    Ok((stats_total, report_total, exec_profile, faulted))
+    if let Some(report) = outcome.observed.as_mut() {
+        report.global_oob_reads = outcome.stats.oob_reads;
+        report.global_oob_stores = outcome.stats.oob_stores;
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -989,6 +807,23 @@ mod tests {
         }
     }
 
+    fn plain(
+        k: &DeviceKernelDef,
+        p: &LaunchParams,
+        mem: &mut DeviceMemory,
+    ) -> Result<ExecStats, SimError> {
+        execute(k, p, mem, LaunchMode::Plain).map(|o| o.stats)
+    }
+
+    fn observed(
+        k: &DeviceKernelDef,
+        p: &LaunchParams,
+        mem: &mut DeviceMemory,
+    ) -> (ExecStats, ObserverReport) {
+        let o = execute(k, p, mem, LaunchMode::Observe).unwrap();
+        (o.stats, o.observed.expect("observed launch"))
+    }
+
     fn linear_mem(n: usize) -> DeviceMemory {
         let mut mem = DeviceMemory::new();
         let geom = BufferGeometry {
@@ -1011,7 +846,7 @@ mod tests {
         let mut mem = linear_mem(100);
         let mut p = LaunchParams::new((4, 1), (32, 1));
         p.set_int("n", 100);
-        let stats = execute(&k, &p, &mut mem).unwrap();
+        let stats = plain(&k, &p, &mut mem).unwrap();
         let out = &mem.buffer("OUT").unwrap().data;
         for (i, v) in out.iter().take(100).enumerate() {
             assert_eq!(*v, 2.0 * i as f32);
@@ -1028,7 +863,7 @@ mod tests {
         let mut mem = linear_mem(10);
         let p = LaunchParams::new((1, 1), (32, 1));
         assert_eq!(
-            execute(&k, &p, &mut mem).unwrap_err(),
+            plain(&k, &p, &mut mem).unwrap_err(),
             SimError::MissingScalar("n".into())
         );
     }
@@ -1040,7 +875,7 @@ mod tests {
         let mut p = LaunchParams::new((1, 1), (32, 1));
         p.set_int("n", 10);
         assert!(matches!(
-            execute(&k, &p, &mut mem).unwrap_err(),
+            plain(&k, &p, &mut mem).unwrap_err(),
             SimError::UnboundBuffer(_)
         ));
     }
@@ -1060,7 +895,7 @@ mod tests {
         let mut mem = linear_mem(64);
         let mut p = LaunchParams::new((2, 1), (32, 1));
         p.set_int("n", 64);
-        let stats = execute(&k, &p, &mut mem).unwrap();
+        let stats = plain(&k, &p, &mut mem).unwrap();
         assert_eq!(stats.oob_reads, 64);
     }
 
@@ -1115,7 +950,7 @@ mod tests {
         };
         let mut mem = linear_mem(64);
         let p = LaunchParams::new((2, 1), (32, 1));
-        let stats = execute(&k, &p, &mut mem).unwrap();
+        let stats = plain(&k, &p, &mut mem).unwrap();
         let out = &mem.buffer("OUT").unwrap().data;
         // Block 0 holds 0..32 reversed; block 1 holds 32..64 reversed.
         assert_eq!(out[0], 31.0);
@@ -1135,9 +970,9 @@ mod tests {
             let mut mem = linear_mem(64);
             let p = LaunchParams::new((2, 1), (32, 1));
             let k = reversal_kernel();
-            let base = execute(&k, &p, &mut mem).unwrap();
+            let base = plain(&k, &p, &mut mem).unwrap();
             let mut mem2 = linear_mem(64);
-            let (stats, report) = execute_observed(&k, &p, &mut mem2).unwrap();
+            let (stats, report) = observed(&k, &p, &mut mem2);
             assert_eq!(stats, base, "observation must not alter statistics");
             assert_eq!(
                 mem.buffer("OUT").unwrap().data,
@@ -1157,7 +992,7 @@ mod tests {
         }
         let mut mem = linear_mem(64);
         let p = LaunchParams::new((2, 1), (32, 1));
-        let (_, report) = execute_observed(&k, &p, &mut mem).unwrap();
+        let (_, report) = observed(&k, &p, &mut mem);
         assert!(report.shared_write_write > 0, "{report:?}");
     }
 
@@ -1231,7 +1066,7 @@ mod tests {
         let mut mem = linear_mem(32);
         mem.tex_modes.insert("IN".into(), AddressMode::Clamp);
         let p = LaunchParams::new((1, 1), (32, 1));
-        let stats = execute(&k, &p, &mut mem).unwrap();
+        let stats = plain(&k, &p, &mut mem).unwrap();
         let out = &mem.buffer("OUT").unwrap().data;
         assert_eq!(out[0], 0.0);
         assert_eq!(out[1], 0.0);
@@ -1261,7 +1096,7 @@ mod tests {
         mem.tex_modes
             .insert("IN".into(), AddressMode::BorderConstant(1.0));
         let p = LaunchParams::new((1, 1), (32, 1));
-        execute(&k, &p, &mut mem).unwrap();
+        plain(&k, &p, &mut mem).unwrap();
         let out = &mem.buffer("OUT").unwrap().data;
         assert_eq!(out[0], 1.0); // border color
         assert_eq!(out[1], 0.0); // pixel 0
@@ -1279,7 +1114,7 @@ mod tests {
         let mut p = LaunchParams::new((1, 1), (1, 1));
         p.set_int("n", 8);
         assert_eq!(
-            execute(&k, &p, &mut mem).unwrap_err(),
+            plain(&k, &p, &mut mem).unwrap_err(),
             SimError::DivisionByZero
         );
     }
@@ -1303,7 +1138,7 @@ mod tests {
         let mut mem = linear_mem(32);
         let mut p = LaunchParams::new((1, 1), (32, 1));
         p.set_int("n", 32).set_float("scale", 3.0);
-        execute(&k, &p, &mut mem).unwrap();
+        plain(&k, &p, &mut mem).unwrap();
         assert_eq!(mem.buffer("OUT").unwrap().data[10], 30.0);
     }
 }

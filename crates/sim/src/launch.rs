@@ -7,6 +7,12 @@
 //! `is_height`), runs one of the execution engines and downloads the
 //! output.
 //!
+//! That sequence has one implementation, [`run_in_mode`]. Its
+//! [`LaunchMode`] selects what the launch records besides the output:
+//! nothing ([`run_on_image_with`] and [`run_on_image`]), a per-block
+//! profile, the dynamic observer's report, a fault injector's ledger, or
+//! the uncommitted stores of a selective block repair.
+//!
 //! Launches go through the [`Engine::Bytecode`] register machine by
 //! default (compile once, run blocks on a flat tape — see
 //! [`crate::bytecode`]); [`Engine::TreeWalk`] keeps the original
@@ -26,9 +32,11 @@
 //! hook may corrupt constant banks before the tape captures them.
 
 use crate::bytecode::{CompiledKernel, Program};
+use crate::inject::{FaultedRun, RepairStore};
 use crate::interp::{ExecStats, SimError};
 use crate::memory::{BufferGeometry, DeviceBuffer, DeviceMemory, LaunchParams};
 use crate::observer::ObserverReport;
+use crate::sched::{ExecProfile, LaunchMode};
 use hipacc_image::Image;
 use hipacc_ir::kernel::{AddressMode, BufferAccess, DeviceKernelDef};
 use hipacc_ir::key::{KeyWriter, LruMap};
@@ -67,23 +75,40 @@ pub struct LaunchSpec<'a> {
     /// variable are set, this field wins — see [`override_conflicts`].
     pub sim_threads: Option<usize>,
     /// Explicit engine override (`None` = `HIPACC_SIM_ENGINE`, then
-    /// [`Engine::default`]). Only consulted by [`run_on_image`]; the
-    /// `*_with` entry points take the engine as an argument. When both
-    /// this field and the environment variable are set, this field wins —
-    /// see [`override_conflicts`].
+    /// [`Engine::default`]). Only consulted by [`run_on_image`];
+    /// [`run_on_image_with`] and [`run_in_mode`] take the engine as an
+    /// argument. When both this field and the environment variable are
+    /// set, this field wins — see [`override_conflicts`].
     pub engine: Option<Engine>,
     /// Shared worker pool executing the block loop (`None` = per-launch
     /// scoped threads, the historical behaviour).
     pub pool: Option<Arc<crate::pool::WorkerPool>>,
 }
 
-/// Result of a simulated launch.
+/// Result of a simulated launch: the output and statistics, plus the
+/// records its [`LaunchMode`] asked for.
 #[derive(Clone, Debug)]
 pub struct LaunchResult {
-    /// The output image (downloaded `OUT` buffer).
+    /// The output image (downloaded `OUT` buffer, faults included; left
+    /// unwritten in [`LaunchMode::Repair`]).
     pub output: Image<f32>,
     /// Dynamic execution statistics.
     pub stats: ExecStats,
+    /// Per-block profile ([`LaunchMode::Profile`], [`LaunchMode::Fault`]).
+    pub profile: Option<ExecProfile>,
+    /// The observer's report ([`LaunchMode::Observe`]).
+    pub observed: Option<ObserverReport>,
+    /// Per-block checksum ledger and virtual launch time
+    /// ([`LaunchMode::Fault`]; empty when the hook is disabled).
+    pub faults: Option<FaultedRun>,
+    /// Uncommitted stores of the re-executed blocks
+    /// ([`LaunchMode::Repair`]).
+    pub repaired: Vec<RepairStore>,
+    /// Constant banks whose contents no longer match what was uploaded —
+    /// the result of the post-launch constant-memory scrub under an
+    /// enabled fault hook. Non-empty means every output of this launch is
+    /// suspect.
+    pub corrupt_const_banks: Vec<String>,
 }
 
 /// Which execution engine runs the kernel.
@@ -125,8 +150,8 @@ impl Engine {
 }
 
 /// Environment variable selecting the execution engine (lowest
-/// precedence, below [`LaunchSpec::engine`] and the explicit `*_with`
-/// arguments).
+/// precedence, below [`LaunchSpec::engine`] and an explicit engine
+/// argument).
 pub const ENGINE_ENV: &str = "HIPACC_SIM_ENGINE";
 
 /// Parse a `HIPACC_SIM_ENGINE` value: `bytecode`, `tree-walk` or `simd`.
@@ -187,7 +212,7 @@ impl std::fmt::Display for OverrideConflict {
 /// Detect explicit-vs-environment override conflicts for one launch.
 ///
 /// Precedence is always **explicit spec > environment > default**:
-/// [`LaunchSpec::engine`] (or a `*_with` engine argument) beats
+/// [`LaunchSpec::engine`] (or an explicit engine argument) beats
 /// `HIPACC_SIM_ENGINE`, and [`LaunchSpec::sim_threads`] beats
 /// `HIPACC_SIM_THREADS`. This function reports every knob where the two
 /// levels are simultaneously set *and disagree* — including an
@@ -240,124 +265,60 @@ pub fn run_on_image(
     run_on_image_with(kernel, spec, resolve_engine(spec.engine)?)
 }
 
-/// Run a device kernel over host images on an explicitly chosen engine.
+/// Run a device kernel over host images on an explicitly chosen engine:
+/// [`run_in_mode`] with [`LaunchMode::Plain`].
 pub fn run_on_image_with(
     kernel: &DeviceKernelDef,
     spec: &LaunchSpec<'_>,
     engine: Engine,
 ) -> Result<LaunchResult, SimError> {
-    let (mut mem, params) = prepare(kernel, spec)?;
-    let stats = match engine.exec_mode() {
-        Some(mode) => memoized_tape(kernel, &params, &mem)?.run_with(&mut mem, mode)?,
-        None => crate::interp::execute(kernel, &params, &mut mem)?,
-    };
-    let output = download_output(&mem)?;
-    Ok(LaunchResult { output, stats })
+    run_in_mode(kernel, spec, engine, LaunchMode::Plain)
 }
 
-/// Run a device kernel with the dynamic observer attached (tree-walk
-/// engine): the launch result plus an [`ObserverReport`] witnessing
-/// races, out-of-bounds accesses and store conflicts. Execution semantics
-/// and statistics are identical to [`run_on_image`].
-pub fn run_on_image_observed(
-    kernel: &DeviceKernelDef,
-    spec: &LaunchSpec<'_>,
-) -> Result<(LaunchResult, ObserverReport), SimError> {
-    let (mut mem, params) = prepare(kernel, spec)?;
-    let (stats, report) = crate::interp::execute_observed(kernel, &params, &mut mem)?;
-    let output = download_output(&mem)?;
-    Ok((LaunchResult { output, stats }, report))
-}
-
-/// Run a device kernel while recording a per-block execution profile on
-/// an explicitly chosen engine. Execution semantics and statistics are
-/// identical to [`run_on_image_with`]; the extra [`ExecProfile`] carries
-/// one [`ExecStats`] record per block plus the effective worker count.
+/// Run a device kernel over host images on `engine` in `mode`: the one
+/// launch sequence (bind, upload, launch, download) behind every other
+/// entry point.
 ///
-/// [`ExecProfile`]: crate::sched::ExecProfile
-pub fn run_on_image_profiled(
+/// A [`LaunchMode::Fault`] launch whose hook is enabled differs in three
+/// ways, in this order: the hook corrupts the bound memory first; the
+/// bytecode tape is then compiled fresh from that memory, never taken
+/// from or added to the memo (it captures the corrupted constant banks);
+/// and after the launch the uploaded constant banks are scrubbed against
+/// the spec's coefficients, the simulator-side equivalent of a
+/// parameter-bank CRC. A disabled hook takes the memoized, profiled path,
+/// byte-for-byte and cost-for-cost identical to [`LaunchMode::Profile`].
+pub fn run_in_mode(
     kernel: &DeviceKernelDef,
     spec: &LaunchSpec<'_>,
     engine: Engine,
-) -> Result<(LaunchResult, crate::sched::ExecProfile), SimError> {
+    mode: LaunchMode<'_>,
+) -> Result<LaunchResult, SimError> {
     let (mut mem, params) = prepare(kernel, spec)?;
-    let (stats, profile) = match engine.exec_mode() {
-        Some(mode) => memoized_tape(kernel, &params, &mem)?.run_profiled_with(&mut mem, mode)?,
-        None => crate::interp::execute_profiled(kernel, &params, &mut mem)?,
-    };
-    let output = download_output(&mem)?;
-    Ok((LaunchResult { output, stats }, profile))
-}
-
-/// Result of a simulated launch under fault injection.
-#[derive(Clone, Debug)]
-pub struct FaultedLaunch {
-    /// The output image (downloaded `OUT` buffer, faults included).
-    pub output: Image<f32>,
-    /// Dynamic execution statistics of the (faulted) launch.
-    pub stats: ExecStats,
-    /// Per-block execution profile.
-    pub exec: crate::sched::ExecProfile,
-    /// Per-block checksum ledger and virtual launch time.
-    pub run: crate::inject::FaultedRun,
-    /// Constant banks whose contents no longer match what was uploaded —
-    /// the result of the post-launch constant-memory scrub. Non-empty
-    /// means every output of this launch is suspect.
-    pub corrupt_const_banks: Vec<String>,
-}
-
-/// Run a device kernel with a fault injector attached.
-///
-/// Semantics with a disabled hook are identical to
-/// [`run_on_image_with`]; an enabled hook may corrupt constant banks
-/// before execution, stall or hang workers on the virtual clock
-/// (cancelled via [`SimError::DeadlineExceeded`] when the hook sets a
-/// deadline), and drop or corrupt block stores before commit. After the
-/// launch the uploaded constant banks are scrubbed against the spec's
-/// coefficients, the simulator-side equivalent of a parameter-bank CRC.
-pub fn run_on_image_faulted(
-    kernel: &DeviceKernelDef,
-    spec: &LaunchSpec<'_>,
-    engine: Engine,
-    hook: &dyn crate::inject::FaultHook,
-) -> Result<FaultedLaunch, SimError> {
-    let (mut mem, params) = prepare(kernel, spec)?;
-    if !hook.enabled() {
-        // Disabled hook (inert plan, or a transient session past its
-        // faulty attempts): take the plain profiled path so the launch
-        // is byte-for-byte and cost-for-cost identical to an unfaulted
-        // one, and report an empty (trivially clean) ledger.
-        let (stats, exec) = match engine.exec_mode() {
-            Some(mode) => {
-                memoized_tape(kernel, &params, &mem)?.run_profiled_with(&mut mem, mode)?
-            }
-            None => crate::interp::execute_profiled(kernel, &params, &mut mem)?,
-        };
-        let output = download_output(&mem)?;
-        return Ok(FaultedLaunch {
-            output,
-            stats,
-            exec,
-            run: crate::inject::FaultedRun::default(),
-            corrupt_const_banks: Vec::new(),
-        });
+    let hook = mode.hook();
+    if let Some(h) = hook {
+        h.corrupt_memory(&mut mem);
     }
-    // The bytecode engine captures constant banks at compile time, so
-    // memory corruption must land before either engine compiles, and the
-    // tape is built fresh from the corrupted banks, never memoized.
-    hook.corrupt_memory(&mut mem);
-    let (stats, exec, run) = match engine.exec_mode() {
-        Some(mode) => crate::bytecode::compile(kernel, &params, &mem)?
-            .run_faulted_with(&mut mem, hook, mode)?,
-        None => crate::interp::execute_faulted(kernel, &params, &mut mem, hook)?,
+    let out = match engine.exec_mode() {
+        Some(exec) => {
+            let tape = match hook {
+                Some(_) => crate::bytecode::compile(kernel, &params, &mem)?,
+                None => memoized_tape(kernel, &params, &mem)?,
+            };
+            tape.run(&mut mem, exec, mode)?
+        }
+        None => crate::interp::execute(kernel, &params, &mut mem, mode)?,
     };
-    let output = download_output(&mem)?;
-    Ok(FaultedLaunch {
-        output,
-        stats,
-        exec,
-        run,
-        corrupt_const_banks: scrub_const_banks(&mem, spec),
+    Ok(LaunchResult {
+        output: download_output(&mem)?,
+        stats: out.stats,
+        profile: out.profile,
+        observed: out.observed,
+        faults: out.faults,
+        repaired: out.repaired,
+        corrupt_const_banks: match hook {
+            Some(_) => scrub_const_banks(&mem, spec),
+            None => Vec::new(),
+        },
     })
 }
 
@@ -385,23 +346,6 @@ fn scrub_const_banks(mem: &DeviceMemory, spec: &LaunchSpec<'_>) -> Vec<String> {
     }
     corrupt.sort();
     corrupt
-}
-
-/// Re-execute the listed blocks fault-free on freshly prepared memory and
-/// return their stores (buffer-name resolved) plus the re-execution
-/// statistics — the launch-level selective-repair primitive. The caller
-/// patches the stores into its downloaded output.
-pub fn repair_blocks(
-    kernel: &DeviceKernelDef,
-    spec: &LaunchSpec<'_>,
-    engine: Engine,
-    blocks: &[(u32, u32)],
-) -> Result<(Vec<crate::inject::RepairStore>, ExecStats), SimError> {
-    let (mem, params) = prepare(kernel, spec)?;
-    match engine.exec_mode() {
-        Some(mode) => memoized_tape(kernel, &params, &mem)?.run_blocks_with(&mem, blocks, mode),
-        None => crate::interp::execute_blocks(kernel, &params, &mem, blocks),
-    }
 }
 
 /// Programs the tape memo retains (least recently used beyond this).
@@ -775,6 +719,31 @@ mod tests {
         let tw = run_on_image_with(&k, &spec, Engine::TreeWalk).unwrap();
         assert_eq!(bc.stats, tw.stats);
         assert_eq!(bc.output.max_abs_diff(&tw.output), 0.0);
+    }
+
+    #[test]
+    fn observe_runs_on_the_tree_walk_engine_only() {
+        let img = Image::from_fn(40, 9, |x, y| (x + y) as f32);
+        let mut inputs = HashMap::new();
+        inputs.insert("IN".to_string(), &img);
+        let spec = LaunchSpec {
+            grid: (40u32.div_ceil(16), 9),
+            block: (16, 1),
+            inputs,
+            ..Default::default()
+        };
+        let k = add_one_kernel();
+        let plain = run_on_image_with(&k, &spec, Engine::TreeWalk).unwrap();
+        let seen = run_in_mode(&k, &spec, Engine::TreeWalk, LaunchMode::Observe).unwrap();
+        assert_eq!(seen.stats, plain.stats);
+        assert_eq!(seen.output.max_abs_diff(&plain.output), 0.0);
+        assert!(seen.observed.expect("observer report").is_clean());
+        for engine in [Engine::Bytecode, Engine::Simd] {
+            assert!(matches!(
+                run_in_mode(&k, &spec, engine, LaunchMode::Observe).unwrap_err(),
+                SimError::InvalidLaunch(_)
+            ));
+        }
     }
 
     #[test]

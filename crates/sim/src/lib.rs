@@ -37,10 +37,14 @@
 //! (validating the paper's +1-column pad); [`memory`] holds the simulated
 //! device memory (buffers with strides and
 //! texture geometry); [`launch`] wires compiled kernels, images and the
-//! interpreter together. [`observer`] attaches a dynamic race and
-//! bounds watcher to a launch ([`execute_observed`] /
-//! [`run_on_image_observed`]) — the runtime cross-check of the static
-//! verifier in `hipacc-analysis`.
+//! engines together. Each layer has one launch entry point —
+//! [`interp::execute`], [`CompiledKernel::run`] and
+//! [`launch::run_in_mode`] — and a [`LaunchMode`] value selects what the
+//! launch records: a per-block profile, a fault injector's ledger
+//! ([`inject`]), the uncommitted stores of a selective repair, or the
+//! report of the [`observer`], a dynamic race and bounds watcher
+//! ([`LaunchMode::Observe`]) that cross-checks the static verifier in
+//! `hipacc-analysis` at run time.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -57,16 +61,18 @@ pub mod sched;
 pub mod simd;
 pub mod timing;
 
-pub use bytecode::{compile, execute as execute_bytecode, CompiledKernel, ExecMode, Program};
+pub use bytecode::{compile, CompiledKernel, ExecMode, Program};
 pub use inject::{BlockFault, BlockLedger, FaultHook, FaultedRun, RepairStore};
-pub use interp::{execute, execute_observed, execute_profiled, ExecStats, SimError};
+pub use interp::{execute, ExecStats, SimError};
 pub use launch::{
-    override_conflicts, parse_engine_env, repair_blocks, resolve_engine, run_on_image,
-    run_on_image_faulted, run_on_image_observed, run_on_image_profiled, run_on_image_with, Engine,
-    FaultedLaunch, LaunchResult, OverrideConflict, ENGINE_ENV,
+    override_conflicts, parse_engine_env, resolve_engine, run_in_mode, run_on_image,
+    run_on_image_with, Engine, LaunchResult, OverrideConflict, ENGINE_ENV,
 };
 pub use memory::{DeviceMemory, LaunchParams};
 pub use observer::ObserverReport;
 pub use pool::WorkerPool;
-pub use sched::{effective_workers, parse_thread_env, BlockProfile, ExecProfile, SimdTelemetry};
+pub use sched::{
+    effective_workers, parse_thread_env, BlockProfile, ExecProfile, LaunchMode, Outcome,
+    SimdTelemetry,
+};
 pub use timing::{estimate_time, TimeBreakdown, TimingInput};

@@ -17,9 +17,14 @@
 //! each block along with the block's [`ExecStats`], so the launch report
 //! can attribute dynamic counters to boundary regions.
 //!
+//! A [`LaunchMode`] tells both engines' block loops which blocks to run
+//! and what to record; they return it as an [`Outcome`].
+//!
 //! [`LaunchParams::sim_threads`]: crate::memory::LaunchParams::sim_threads
 
+use crate::inject::{FaultHook, FaultedRun, RepairStore};
 use crate::interp::{ExecStats, SimError};
+use crate::observer::ObserverReport;
 use crate::pool::WorkerPool;
 use std::sync::Mutex;
 
@@ -267,6 +272,193 @@ impl ExecProfile {
             }
         }
         counts
+    }
+}
+
+/// What one launch runs and records besides its output and statistics:
+/// the generated host code's single launch sequence, in one of the five
+/// flavours the simulator supports. Every engine entry point takes one.
+#[derive(Clone, Copy)]
+pub enum LaunchMode<'a> {
+    /// Run every block and commit its stores.
+    Plain,
+    /// [`Self::Plain`], plus a per-block [`ExecProfile`].
+    Profile,
+    /// [`Self::Plain`], plus the dynamic observer's [`ObserverReport`]
+    /// (tree-walk engine only; the bytecode engines reject it).
+    Observe,
+    /// [`Self::Profile`] with a fault injector attached: the hook may
+    /// stall or hang workers on the virtual clock and mutate or drop
+    /// block stores before commit, and the outcome carries the per-block
+    /// checksum ledger. A disabled hook makes this exactly
+    /// [`Self::Profile`] with an empty ledger.
+    Fault(&'a dyn FaultHook),
+    /// Re-execute only the listed blocks, fault-free, through the same
+    /// block loop, and return their stores *uncommitted* in
+    /// [`Outcome::repaired`] — the selective-repair primitive. Input
+    /// buffers are read-only during a launch and generated kernels write
+    /// disjoint cells per block, so a block re-run in isolation
+    /// reproduces exactly the stores of a clean launch.
+    Repair(&'a [(u32, u32)]),
+}
+
+impl LaunchMode<'_> {
+    /// The fault hook, when one is attached *and* can fire this launch.
+    pub(crate) fn hook(&self) -> Option<&dyn FaultHook> {
+        match self {
+            LaunchMode::Fault(h) if h.enabled() => Some(*h),
+            _ => None,
+        }
+    }
+
+    /// The blocks this launch runs: the whole grid in linear block order,
+    /// or the repair subset as listed.
+    pub(crate) fn blocks(&self, (gx, gy): (u32, u32)) -> Vec<(u32, u32)> {
+        match self {
+            LaunchMode::Repair(blocks) => blocks.to_vec(),
+            _ => (0..gy)
+                .flat_map(|by| (0..gx).map(move |bx| (bx, by)))
+                .collect(),
+        }
+    }
+}
+
+/// What one engine launch produced: statistics always, plus the record
+/// its [`LaunchMode`] asked for.
+#[derive(Clone, Debug, Default)]
+pub struct Outcome {
+    /// Dynamic statistics summed over the blocks that ran.
+    pub stats: ExecStats,
+    /// Per-block profile ([`LaunchMode::Profile`] and [`LaunchMode::Fault`]).
+    pub profile: Option<ExecProfile>,
+    /// The observer's report ([`LaunchMode::Observe`]).
+    pub observed: Option<ObserverReport>,
+    /// Checksum ledger and virtual launch time ([`LaunchMode::Fault`];
+    /// empty when the hook is disabled).
+    pub faults: Option<FaultedRun>,
+    /// The uncommitted stores of the re-executed blocks, in the listed
+    /// block order ([`LaunchMode::Repair`]).
+    pub repaired: Vec<RepairStore>,
+}
+
+impl Outcome {
+    /// An empty outcome for a launch of `n_blocks` blocks on `n_workers`
+    /// workers whose slowest worker took `virtual_us` on the fault
+    /// plane's clock.
+    pub(crate) fn start(
+        mode: &LaunchMode<'_>,
+        n_workers: usize,
+        n_blocks: usize,
+        virtual_us: u64,
+    ) -> Self {
+        let ledger = if mode.hook().is_some() { n_blocks } else { 0 };
+        Outcome {
+            profile: matches!(mode, LaunchMode::Profile | LaunchMode::Fault(_)).then(|| {
+                ExecProfile {
+                    n_workers,
+                    blocks: Vec::with_capacity(n_blocks),
+                    simd: None,
+                }
+            }),
+            observed: matches!(mode, LaunchMode::Observe).then(ObserverReport::default),
+            faults: matches!(mode, LaunchMode::Fault(_)).then(|| FaultedRun {
+                ledger: Vec::with_capacity(ledger),
+                virtual_us,
+            }),
+            ..Outcome::default()
+        }
+    }
+
+    /// Count block `(bx, by)`, run by `worker`, into the totals and the
+    /// profile.
+    pub(crate) fn add_block(&mut self, bx: u32, by: u32, worker: usize, stats: ExecStats) {
+        self.stats.merge(&stats);
+        if let Some(p) = self.profile.as_mut() {
+            p.blocks.push(BlockProfile {
+                bx,
+                by,
+                worker,
+                stats,
+            });
+        }
+    }
+}
+
+/// What [`run_blocks`] returns: per block, in `blocks` order, the worker
+/// that ran it, its result and its virtual latency; the worker states in
+/// worker order; and the slowest worker's virtual time.
+pub(crate) type BlockRuns<S, B> = (Vec<(usize, B, u64)>, Vec<S>, u64);
+
+/// The block loop of both engines: run `blocks` strided over `n_workers`
+/// workers, each threading its own state (made by `init`) through `run`,
+/// and charging every block to the worker's virtual clock under `hook`
+/// ([`charge_block`]). Results come back keyed by block position, so the
+/// caller applies stores in `blocks` order and outputs stay bit-identical
+/// for any worker count. The first failing worker's error wins.
+pub(crate) fn run_blocks<S: Send, B: Send>(
+    pool: Option<&WorkerPool>,
+    n_workers: usize,
+    blocks: &[(u32, u32)],
+    hook: Option<&dyn FaultHook>,
+    init: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, u32, u32) -> Result<B, SimError> + Sync,
+) -> Result<BlockRuns<S, B>, SimError> {
+    type WorkerOut<S, B> = (Vec<(usize, B, u64)>, S, u64);
+    let results: Vec<Result<WorkerOut<S, B>, SimError>> = run_workers(pool, n_workers, |w| {
+        let mut state = init();
+        let mut out = Vec::with_capacity(worker_share(blocks.len(), n_workers, w));
+        let mut vtime: u64 = 0;
+        for i in worker_indices(blocks.len(), n_workers, w) {
+            let (bx, by) = blocks[i];
+            let lat = charge_block(hook, bx, by, w, &mut vtime)?;
+            out.push((i, run(&mut state, bx, by)?, lat));
+        }
+        Ok((out, state, vtime))
+    });
+    let mut slots: Vec<Option<(usize, B, u64)>> = (0..blocks.len()).map(|_| None).collect();
+    let mut states = Vec::with_capacity(n_workers);
+    let mut vmax = 0u64;
+    for (w, result) in results.into_iter().enumerate() {
+        let (out, state, vtime) = result?;
+        for (i, b, lat) in out {
+            slots[i] = Some((w, b, lat));
+        }
+        states.push(state);
+        vmax = vmax.max(vtime);
+    }
+    let ran = slots
+        .into_iter()
+        .map(|s| s.expect("every block ran"))
+        .collect();
+    Ok((ran, states, vmax))
+}
+
+/// Charge block `(bx, by)` to `worker`'s virtual clock under an enabled
+/// fault hook: fire an injected panic, add the block's latency, and
+/// cancel the launch once the clock passes the hook's deadline. Returns
+/// the block's virtual latency (0 without a hook).
+pub(crate) fn charge_block(
+    hook: Option<&dyn FaultHook>,
+    bx: u32,
+    by: u32,
+    worker: usize,
+    vtime: &mut u64,
+) -> Result<u64, SimError> {
+    let Some(h) = hook else { return Ok(0) };
+    if h.block_panic(bx, by) {
+        panic!("injected worker panic at block ({bx},{by})");
+    }
+    let lat = h.block_latency_us(bx, by);
+    *vtime = vtime.saturating_add(lat);
+    match h.deadline_us() {
+        // A hung (or badly stalled) block: the supervisor's deadline
+        // cancels the launch.
+        Some(d) if *vtime > d => Err(SimError::DeadlineExceeded {
+            worker,
+            elapsed_us: *vtime,
+            deadline_us: d,
+        }),
+        _ => Ok(lat),
     }
 }
 

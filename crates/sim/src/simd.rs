@@ -32,7 +32,7 @@
 //!   buffer their global (and shared) stores privately and the warp drains
 //!   them lane-major at the end of each phase, reproducing the serial
 //!   order bit for bit. Shared-memory deferral is only correct when no
-//!   phase both reads and writes the same tile, which [`plan_supported`]
+//!   phase both reads and writes the same tile, which `plan_supported`
 //!   checks up front (the tiling codegen always separates the fill phase
 //!   from the read phase with a barrier).
 //! * **Scalar fallback** — anything the vector path cannot reproduce

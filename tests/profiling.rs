@@ -261,3 +261,58 @@ fn phase_times_populated_on_plain_compiles() {
     );
     assert!(compiled.phase_times.iter().all(|(_, ms)| *ms >= 0.0));
 }
+
+/// A supervised launch records its `execute` span on the same wall-clock
+/// timeline as `execute_profiled`: measured around the launch, not the
+/// fault plane's virtual time (0 µs without faults), and with the same
+/// span names. Virtual time stays in the `"recovery"` spans.
+#[test]
+fn supervised_profile_records_the_measured_launch() {
+    use hipacc_core::{FaultPlan, SupervisorConfig};
+
+    let img = phantom::vessel_tree(256, 256, &phantom::VesselParams::default());
+    let op = gaussian_operator(5, 1.1, BoundaryMode::Clamp);
+    let target = Target::cuda(device::tesla_c2050());
+    let inputs = [("Input", &img)];
+    let (_, profiled) = op
+        .execute_profiled(&inputs, &target, Engine::TreeWalk)
+        .unwrap();
+    let sup = op
+        .execute_supervised(
+            &inputs,
+            &target,
+            Engine::TreeWalk,
+            &FaultPlan::none(),
+            &SupervisorConfig::default(),
+        )
+        .unwrap();
+    assert_eq!(sup.recovery.virtual_us, 0);
+
+    let execute = sup
+        .profile
+        .spans
+        .iter()
+        .find(|s| s.name == "execute")
+        .expect("supervised profile has an execute span");
+    assert!(
+        execute.dur_us >= 100,
+        "a 256x256 tree-walk launch took {} us on the profile",
+        execute.dur_us
+    );
+    let names = |spans: &[hipacc_profile::Span]| -> Vec<String> {
+        spans
+            .iter()
+            .filter(|s| s.cat != "recovery")
+            .map(|s| s.name.clone())
+            .collect()
+    };
+    assert_eq!(names(&sup.profile.spans), names(&profiled.spans));
+    let recovery: Vec<_> = sup
+        .profile
+        .spans
+        .iter()
+        .filter(|s| s.cat == "recovery")
+        .collect();
+    assert_eq!(recovery.len(), 1, "{recovery:?}");
+    assert!(recovery[0].start_us >= execute.start_us + execute.dur_us);
+}

@@ -383,7 +383,7 @@ fn interpreter_agrees_with_const_evaluator() {
         );
         let mut params = LaunchParams::new((1, 1), (1, 1));
         params.set_int("a", a).set_int("b", b);
-        match hipacc_sim::execute(&kernel, &params, &mut mem) {
+        match hipacc_sim::execute(&kernel, &params, &mut mem, hipacc_sim::LaunchMode::Plain) {
             Ok(_) => {
                 let got = mem.buffer("OUT").unwrap().data[0];
                 assert!(
@@ -413,6 +413,7 @@ mod engines {
     };
     use hipacc_ir::{Builtin, LValue, ScalarType};
     use hipacc_sim::memory::{BufferGeometry, DeviceBuffer, DeviceMemory, LaunchParams};
+    use hipacc_sim::{BlockFault, ExecMode, ExecStats, FaultHook, LaunchMode, Outcome, SimError};
 
     /// A random value expression over the named locals, input loads with
     /// random (sometimes out-of-bounds) offsets, lazy `Select`/`&&`/`||`
@@ -575,6 +576,65 @@ mod engines {
         }
     }
 
+    /// The three engines: the tree-walk interpreter (`None`) and the two
+    /// bytecode execution modes.
+    const ENGINES: [(&str, Option<ExecMode>); 3] = [
+        ("tree-walk", None),
+        ("bytecode", Some(ExecMode::Scalar)),
+        ("simd", Some(ExecMode::Simd)),
+    ];
+
+    /// Launch `k` in `mode` on one engine over a copy of `mem`; returns
+    /// the outcome and the memory after the launch.
+    fn launch(
+        k: &DeviceKernelDef,
+        params: &LaunchParams,
+        mem: &DeviceMemory,
+        exec: Option<ExecMode>,
+        mode: LaunchMode<'_>,
+    ) -> Result<(Outcome, DeviceMemory), SimError> {
+        let mut m = mem.clone();
+        let out = match exec {
+            Some(exec) => hipacc_sim::compile(k, params, &m)?.run(&mut m, exec, mode),
+            None => hipacc_sim::execute(k, params, &mut m, mode),
+        }?;
+        Ok((out, m))
+    }
+
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// A fault hook that fires nothing but drops the stores of every block
+    /// outside `keep`, so a full launch commits exactly `keep`'s stores.
+    struct KeepOnly<'a>(&'a [(u32, u32)]);
+
+    impl FaultHook for KeepOnly<'_> {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn corrupt_memory(&self, _: &mut DeviceMemory) {}
+        fn block_fault(&self, bx: u32, by: u32, _: bool) -> BlockFault {
+            if self.0.contains(&(bx, by)) {
+                BlockFault::None
+            } else {
+                BlockFault::Drop
+            }
+        }
+        fn block_latency_us(&self, _: u32, _: u32) -> u64 {
+            0
+        }
+        fn deadline_us(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    /// All three engines agree bit-for-bit in plain mode, at a coarse and
+    /// a fine launch geometry. On each engine the profile mode then
+    /// returns exactly the plain mode's statistics and memory, and the
+    /// repair mode over a seeded subset of blocks returns exactly the
+    /// stores a full launch commits for those blocks, with those blocks'
+    /// statistics, and commits nothing itself.
     #[test]
     fn random_kernels_agree_between_engines() {
         cases(60, |seed, rng| {
@@ -592,51 +652,98 @@ mod engines {
             }
             mem.bind("IN", inp);
             mem.bind("OUT", DeviceBuffer::new(geom));
-            let mut params = LaunchParams::new((2, 1), (32, 1));
-            params.set_float("bias", rng.gen_range_f32(-1.0, 1.0));
+            let bias = rng.gen_range_f32(-1.0, 1.0);
 
-            let mut mem_tree = mem.clone();
-            let mut mem_bc = mem.clone();
-            let mut mem_simd = mem;
-            let r_tree = hipacc_sim::execute(&k, &params, &mut mem_tree);
-            let r_bc = hipacc_sim::execute_bytecode(&k, &params, &mut mem_bc);
-            let r_simd = hipacc_sim::compile(&k, &params, &mem_simd)
-                .and_then(|c| c.run_with(&mut mem_simd, hipacc_sim::ExecMode::Simd));
-            match (r_tree, r_bc, r_simd) {
-                (Ok(stats_tree), Ok(stats_bc), Ok(stats_simd)) => {
-                    assert_eq!(stats_tree, stats_bc, "ExecStats diverge [seed {seed:#x}]");
-                    assert_eq!(
-                        stats_tree, stats_simd,
-                        "simd ExecStats diverge [seed {seed:#x}]"
-                    );
-                    for name in ["IN", "OUT"] {
-                        let a = &mem_tree.buffer(name).unwrap().data;
-                        for (engine, m) in [("bytecode", &mem_bc), ("simd", &mem_simd)] {
-                            let b = &m.buffer(name).unwrap().data;
-                            let same = a.len() == b.len()
-                                && a.iter()
-                                    .zip(b.iter())
-                                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                            assert!(
-                                same,
-                                "buffer `{name}` diverges on {engine} [seed {seed:#x}]"
-                            );
-                        }
-                    }
-                }
-                (r_tree, r_bc, r_simd) => {
+            for (grid, block) in [((2, 1), (32, 1)), ((6, 1), (8, 1))] {
+                let mut params = LaunchParams::new(grid, block);
+                params.set_float("bias", bias);
+                let keep: Vec<(u32, u32)> = (0..grid.0)
+                    .map(|bx| (bx, 0))
+                    .filter(|_| rng.gen_below(2) == 0)
+                    .collect();
+                let plain: Vec<_> = ENGINES
+                    .iter()
+                    .map(|&(_, exec)| launch(&k, &params, &mem, exec, LaunchMode::Plain))
+                    .collect();
+                if plain.iter().any(|r| r.is_err()) {
                     // If one engine rejects the kernel, all must, with
                     // the same error.
-                    let t = r_tree.map(|_| ());
+                    let errs: Vec<_> = plain.into_iter().map(|r| r.map(|_| ())).collect();
                     assert_eq!(
-                        t,
-                        r_bc.map(|_| ()),
+                        errs[0], errs[1],
                         "engines disagree on failure [seed {seed:#x}]"
                     );
                     assert_eq!(
-                        t,
-                        r_simd.map(|_| ()),
+                        errs[0], errs[2],
                         "simd disagrees on failure [seed {seed:#x}]"
+                    );
+                    continue;
+                }
+                let plain: Vec<_> = plain.into_iter().map(Result::unwrap).collect();
+                let (tree, tree_mem) = &plain[0];
+                for ((engine, _), (out, m)) in ENGINES.iter().zip(&plain).skip(1) {
+                    assert_eq!(
+                        tree.stats, out.stats,
+                        "ExecStats diverge on {engine} [seed {seed:#x}]"
+                    );
+                    for name in ["IN", "OUT"] {
+                        assert!(
+                            same_bits(
+                                &tree_mem.buffer(name).unwrap().data,
+                                &m.buffer(name).unwrap().data
+                            ),
+                            "buffer `{name}` diverges on {engine} [seed {seed:#x}]"
+                        );
+                    }
+                }
+
+                for ((engine, exec), (out, m)) in ENGINES.iter().zip(&plain) {
+                    let (prof, prof_mem) =
+                        launch(&k, &params, &mem, *exec, LaunchMode::Profile).unwrap();
+                    assert_eq!(
+                        prof.stats, out.stats,
+                        "profile mode changes ExecStats on {engine} [seed {seed:#x}]"
+                    );
+                    assert!(
+                        same_bits(
+                            &prof_mem.buffer("OUT").unwrap().data,
+                            &m.buffer("OUT").unwrap().data
+                        ),
+                        "profile mode changes the output on {engine} [seed {seed:#x}]"
+                    );
+                    let blocks = prof.profile.expect("profile mode records blocks").blocks;
+
+                    let (rep, rep_mem) =
+                        launch(&k, &params, &mem, *exec, LaunchMode::Repair(&keep)).unwrap();
+                    let (_, kept_mem) = launch(
+                        &k,
+                        &params,
+                        &mem,
+                        *exec,
+                        LaunchMode::Fault(&KeepOnly(&keep)),
+                    )
+                    .unwrap();
+                    let mut patched = mem.buffer("OUT").unwrap().data.clone();
+                    for st in &rep.repaired {
+                        assert_eq!(st.buf, "OUT", "[seed {seed:#x}]");
+                        patched[st.idx] = st.value;
+                    }
+                    assert!(
+                        same_bits(&patched, &kept_mem.buffer("OUT").unwrap().data),
+                        "repair of {keep:?} differs from the full launch's stores on \
+                         {engine} [seed {seed:#x}]"
+                    );
+                    let mut want = ExecStats::default();
+                    for b in blocks.iter().filter(|b| keep.contains(&(b.bx, b.by))) {
+                        want.merge(&b.stats);
+                    }
+                    assert_eq!(rep.stats, want, "repair stats on {engine} [seed {seed:#x}]");
+                    assert!(
+                        same_bits(
+                            &rep_mem.buffer("OUT").unwrap().data,
+                            &mem.buffer("OUT").unwrap().data
+                        ),
+                        "repair mode committed stores on {engine} [seed {seed:#x}]"
                     );
                 }
             }
@@ -651,7 +758,6 @@ mod engines {
     #[test]
     fn random_kernels_agree_under_faults() {
         use hipacc_core::{FaultPlan, FaultSession};
-        use hipacc_sim::inject::FaultHook;
 
         cases(24, |seed, rng| {
             let k = gen_kernel(rng);
@@ -682,20 +788,16 @@ mod engines {
             // Mirrors the launch-layer ordering: memory corruption lands
             // before either engine compiles (the bytecode engines capture
             // constant banks at compile time).
-            let run = |mode: Option<hipacc_sim::ExecMode>| {
+            let run = |exec: Option<ExecMode>| {
                 let mut m = mem.clone();
                 let session = FaultSession::new(plan.clone(), 0);
                 session.corrupt_memory(&mut m);
-                let r = match mode {
-                    Some(mode) => hipacc_sim::compile(&k, &params, &m)
-                        .and_then(|c| c.run_faulted_with(&mut m, &session, mode)),
-                    None => hipacc_sim::interp::execute_faulted(&k, &params, &mut m, &session),
-                };
-                r.map(|(stats, _, frun)| (stats, frun.corrupted_blocks(), m))
+                launch(&k, &params, &m, exec, LaunchMode::Fault(&session))
+                    .map(|(out, m)| (out.stats, out.faults.unwrap().corrupted_blocks(), m))
             };
             let r_tree = run(None);
-            let r_bc = run(Some(hipacc_sim::ExecMode::Scalar));
-            let r_simd = run(Some(hipacc_sim::ExecMode::Simd));
+            let r_bc = run(Some(ExecMode::Scalar));
+            let r_simd = run(Some(ExecMode::Simd));
             match (r_tree, r_bc, r_simd) {
                 (Ok(tree), Ok(bc), Ok(simd)) => {
                     for (engine, r) in [("bytecode", &bc), ("simd", &simd)] {
@@ -752,6 +854,7 @@ mod verifier_cross_validation {
     };
     use hipacc_ir::{Builtin, ScalarType};
     use hipacc_sim::memory::{BufferGeometry, DeviceBuffer, DeviceMemory, LaunchParams};
+    use hipacc_sim::{ExecMode, LaunchMode};
 
     const BLOCK: (u32, u32) = (16, 1);
     const GRID: (u32, u32) = (3, 1);
@@ -943,12 +1046,17 @@ mod verifier_cross_validation {
 
             let mut mem_obs = mem.clone();
             let mut mem_bc = mem;
-            let (stats, report) = hipacc_sim::execute_observed(&k, &params, &mut mem_obs).unwrap();
+            let observed =
+                hipacc_sim::execute(&k, &params, &mut mem_obs, LaunchMode::Observe).unwrap();
+            let (stats, report) = (observed.stats, observed.observed.unwrap());
             assert!(
                 report.is_clean(),
                 "static-clean kernel observed dirty [seed {seed:#x}]: {report:?}"
             );
-            let stats_bc = hipacc_sim::execute_bytecode(&k, &params, &mut mem_bc).unwrap();
+            let stats_bc = hipacc_sim::compile(&k, &params, &mem_bc)
+                .and_then(|c| c.run(&mut mem_bc, ExecMode::Scalar, LaunchMode::Plain))
+                .unwrap()
+                .stats;
             assert_eq!(stats, stats_bc, "ExecStats diverge [seed {seed:#x}]");
             let a = &mem_obs.buffer("OUT").unwrap().data;
             let b = &mem_bc.buffer("OUT").unwrap().data;
